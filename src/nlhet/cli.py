@@ -23,8 +23,8 @@ import numpy as np
 from . import appendix_bench as ab
 from . import diagnostics as dg
 from .config import ConfigError, RunConfig, parse_config
-from .discretize import Grid, Profile
-from .model import reference_profile_eval, verify_model
+from .discretize import Grid, Profile, reference_profile
+from .model import verify_model
 from .obstacles import (BarrierSolveError, EnvelopeClauseError, ObstaclePair,
                         build_envelopes, solve_barrier)
 from .solver import NonConvergenceError, SolverError, continuation_run
@@ -190,9 +190,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
     os.makedirs(stage_dir, exist_ok=True)
     state_path = os.path.join(outdir, "stages", "state.json")
     resume_state = None
-    ref = Profile.from_function(
-        cfg.grid, lambda x: reference_profile_eval(cfg.spec.reference, x),
-        cfg.spec.reference.zeta1, cfg.spec.reference.zeta2)
+    ref = reference_profile(cfg.spec, cfg.grid)
     if resume and os.path.exists(state_path):
         with open(state_path) as fh:
             st = json.load(fh)
@@ -230,12 +228,8 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
             tr_path = os.path.join(outdir, "energy_trace.csv")
             write_trace_csv(tr_path, result.trace)
             outputs.append(tr_path)
-            spec_c, _ = cfg.spec.canonical()
-            phi = solve_barrier(spec_c, cfg.obstacles, cfg.grid, 0.0, +1)
-            psi = solve_barrier(spec_c, cfg.obstacles, cfg.grid, 0.0, -1)
-            pair = build_envelopes(phi, psi, cfg.obstacles, 0.0)
             obs_path = os.path.join(outdir, "obstacles.csv")
-            write_obstacles_csv(obs_path, pair)
+            write_obstacles_csv(obs_path, result.pair)
             outputs.append(obs_path)
 
             diag = {
@@ -253,7 +247,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
                     "interaction": result.breakdown.interaction,
                     "total": result.breakdown.total,
                 },
-                "rhs_scale": pair.rhs_scale,
+                "rhs_scale": result.pair.rhs_scale,
             }
             lm = _layer_match(result.profile, cfg.report)
             if lm is not None:

@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import (Interval, Profile, TailClosure, bilinear_form,
-                         second_difference, seminorm_K, workspace_for)
+                         operator_field, reference_profile, second_difference,
+                         seminorm_K, workspace_for)
 from .energy import renormalized_interaction
 from .model import ProblemSpec, potential_eval_grad
 from .obstacles import ObstaclePair
@@ -199,10 +200,7 @@ def stickiness_check(Q: Profile, x1: float, x2: float, spec: ProblemSpec,
     cell = (x[:-1] + h / 2 >= x1) & (x[:-1] + h / 2 <= x2)
     viscous = 0.5 * eta * float(np.sum(dv[cell] ** 2)) * h
     if ref is None:
-        from .model import reference_profile_eval
-        ref = Profile.from_function(
-            Q.grid, lambda xx: reference_profile_eval(spec.reference, xx),
-            spec.reference.zeta1, spec.reference.zeta2)
+        ref = reference_profile(spec, Q.grid)
     penalty = 0.5 * mu * float(np.sum((q[sel] - ref.values[sel]) ** 2)) * h
     inter = 0.25 * seminorm_K(Q, (x1, x2), (x1, x2), spec.kernel, tail) ** 2
     W, _ = potential_eval_grad(spec.potential, q[sel])
@@ -250,18 +248,11 @@ def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
     if not sel.any():
         raise ValueError("interval holds no interior grid nodes")
     if ref is None:
-        from .model import reference_profile_eval
-        ref = Profile.from_function(
-            grid, lambda xx: reference_profile_eval(spec.reference, xx),
-            spec.reference.zeta1, spec.reference.zeta2)
+        ref = reference_profile(spec, grid)
 
     def op(prof: Profile, visc: float) -> np.ndarray:
-        q = prof.values
-        Lq = (q * (ws.rho + ws.Wl + ws.Wr) - ws.conv(q)
-              - prof.left_const * ws.Wl - prof.right_const * ws.Wr)
-        if visc:
-            Lq = Lq - visc * second_difference(q, grid.h)
-        return Lq
+        return operator_field(ws, prof.values, prof.left_const,
+                              prof.right_const, eta=visc)
 
     AQ = op(Q, eta)[sel]
     _, Wp = potential_eval_grad(spec.potential, Q.values)
@@ -337,10 +328,7 @@ def gluing_energy_defect(Q: Profile, P: Profile, x0: float, beta: float,
     """| E_{(T1,T2)^2}(P) - E_{(T1,x0)^2}(Q) - E_{(x0,T2)^2}(P)
          + 2 [ref]^2_{K, (x0-beta,x0) x (x0,x0+beta)} |."""
     if ref is None:
-        from .model import reference_profile_eval
-        ref = Profile.from_function(
-            Q.grid, lambda xx: reference_profile_eval(spec.reference, xx),
-            spec.reference.zeta1, spec.reference.zeta2)
+        ref = reference_profile(spec, Q.grid)
     k = spec.kernel
     e_full = renormalized_interaction(P, ref, spec, (T1, T2), (T1, T2), tail)
     e_left = renormalized_interaction(Q, ref, spec, (T1, x0), (T1, x0), tail)

@@ -28,16 +28,19 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import KernelSpec, ProblemSpec, kernel_eval
+from .model import (KernelSpec, ProblemSpec, kernel_eval, potential_eval_grad,
+                    reference_profile_eval)
 
 __all__ = [
     "Grid",
     "Profile",
+    "reference_profile",
     "TailClosure",
     "Workspace",
     "workspace_for",
     "Interval",
     "WHOLE_LINE",
+    "operator_field",
     "apply_nonlocal",
     "apply_full_operator",
     "seminorm_K",
@@ -112,6 +115,13 @@ class Profile:
         return Profile(grid, vals, lc, rc)
 
 
+def reference_profile(spec: ProblemSpec, grid: Grid) -> Profile:
+    """The model's reference ramp on the grid, with the wells as far fields."""
+    ref = spec.reference
+    return Profile.from_function(grid, lambda x: reference_profile_eval(ref, x),
+                                 ref.zeta1, ref.zeta2)
+
+
 @dataclass(frozen=True)
 class TailClosure:
     """How the exterior of the window is integrated.
@@ -176,7 +186,8 @@ class Workspace:
     """Precomputed Toeplitz weights for one (kernel, grid, tail) triple.
 
     ``w[m-1]`` is the kernel mass of the cell at node offset m; ``rho`` the
-    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior.
+    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
+    ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.
     ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT.
     """
 
@@ -201,6 +212,7 @@ class Workspace:
         else:
             self.Wl = np.zeros(n)
             self.Wr = np.zeros(n)
+        self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
         ff = np.fft.rfft(f, self._L)
@@ -246,10 +258,27 @@ def workspace_for(kernel: KernelSpec, grid: Grid,
 # --------------------------------------------------------------------------
 
 
-def _apply_L_all(ws: Workspace, prof: Profile) -> np.ndarray:
-    f = prof.values
-    return (f * (ws.rho + ws.Wl + ws.Wr) - ws.conv(f)
-            - prof.left_const * ws.Wl - prof.right_const * ws.Wr)
+def operator_field(ws: Workspace, q: np.ndarray, left_const: float,
+                   right_const: float, spec: Optional[ProblemSpec] = None,
+                   a: Optional[np.ndarray] = None, eta: float = 0.0,
+                   mu: float = 0.0, ref: Optional[np.ndarray] = None) -> np.ndarray:
+    """L q + a W'(q) + mu (q - ref) - eta d2 q on all n nodes.
+
+    q holds node values with the given far fields.  The a W'(q) term needs
+    the model ``spec``; ``a``, its modulation on the grid, is sampled when not
+    given.  h times the full field is the discrete energy gradient.
+    """
+    out = q * ws.diag - ws.conv(q) - left_const * ws.Wl - right_const * ws.Wr
+    if spec is not None:
+        if a is None:
+            a = np.asarray(spec.modulation(ws.grid.x))
+        _, Wp = potential_eval_grad(spec.potential, q)
+        out = out + a * Wp
+    if mu:
+        out = out + mu * (q - ref)
+    if eta:
+        out = out - eta * second_difference(q, ws.grid.h)
+    return out
 
 
 def apply_nonlocal(Q: Profile, spec: KernelSpec, tail: Optional[TailClosure] = None,
@@ -260,7 +289,7 @@ def apply_nonlocal(Q: Profile, spec: KernelSpec, tail: Optional[TailClosure] = N
     lopsided quadrature and are rejected.
     """
     ws = workspace_for(spec, Q.grid, tail)
-    field_vals = _apply_L_all(ws, Q)
+    field_vals = operator_field(ws, Q.values, Q.left_const, Q.right_const)
     if i is None:
         return field_vals[1:-1]
     if not (1 <= i <= Q.grid.n - 2):
@@ -283,15 +312,8 @@ def apply_full_operator(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
     if eta < 0 or mu < 0:
         raise ValueError("eta and mu must be >= 0")
     ws = workspace_for(spec.kernel, Q.grid, tail)
-    from .model import potential_eval_grad
-    out = _apply_L_all(ws, Q)
-    _, Wp = potential_eval_grad(spec.potential, Q.values)
-    out = out + np.asarray(spec.modulation(Q.x)) * Wp
-    if mu:
-        out = out + mu * (Q.values - ref.values)
-    if eta:
-        out = out - eta * second_difference(Q.values, Q.grid.h)
-    return out[1:-1]
+    return operator_field(ws, Q.values, Q.left_const, Q.right_const, spec,
+                          eta=eta, mu=mu, ref=ref.values)[1:-1]
 
 
 # --------------------------------------------------------------------------

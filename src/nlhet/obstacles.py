@@ -143,7 +143,7 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     nb = band.size
     A = -Wrow[:, band]
     idx = np.arange(nb)
-    A[idx, idx] += ws.rho[band] + ws.Wl[band] + ws.Wr[band]
+    A[idx, idx] += ws.diag[band]
     b = np.full(nb, sign * C0)
     b += ws.Wl[band] * gl + ws.Wr[band] * gr
     mask = np.ones(n, bool)

@@ -25,10 +25,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .discretize import (Grid, Profile, TailClosure, second_difference,
-                         workspace_for)
+from .discretize import (Grid, Profile, TailClosure, operator_field,
+                         reference_profile, workspace_for)
 from .energy import EnergyBreakdown
-from .model import ProblemSpec, potential_eval_grad, reference_profile_eval, verify_model
+from .model import ProblemSpec, potential_eval_grad, verify_model
 from .obstacles import (ObstacleConfig, ObstaclePair, build_envelopes,
                         faithful_barriers, project_admissible, solve_barrier)
 
@@ -51,6 +51,8 @@ __all__ = [
 log = logging.getLogger("nlhet")
 
 MU_GUARD = 0.1  # heuristic cap on the first penalty weight (warned, not enforced)
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo rule
+ARMIJO_SHRINK = 0.5  # step factor per backtrack
 
 
 class SolverError(RuntimeError):
@@ -75,11 +77,6 @@ class NonConvergenceError(SolverError):
 class SolverConfig:
     max_iters: int = 200000
     grad_tol: Optional[float] = None       # default 1e-8 * n, resolved per grid
-    step_rule: str = "armijo"              # armijo | fixed
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    fixed_step: float = 1e-2
-    energy_decrease_min: float = 0.0
     max_backtracks: int = 60
 
     def __post_init__(self):
@@ -87,12 +84,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be > 0")
-        if self.step_rule not in ("armijo", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not (0 < self.armijo_c1 <= 0.5):
-            raise ValueError("armijo_c1 must lie in (0, 1/2]")
-        if not (0 < self.armijo_shrink < 1):
-            raise ValueError("armijo_shrink must lie in (0, 1)")
 
     def resolve_grad_tol(self, n: int) -> float:
         return self.grad_tol if self.grad_tol is not None else 1e-8 * n
@@ -105,7 +96,6 @@ class ContinuationSchedule:
 
     eta_seq: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 0.0)
     mu_seq: Tuple[float, ...] = (1e-1, 2e-2, 5e-3, 0.0)
-    warm_start: bool = True
 
     def __post_init__(self):
         for name, seq in (("eta_seq", self.eta_seq), ("mu_seq", self.mu_seq)):
@@ -150,6 +140,7 @@ class SolveResult:
     residual_max: float
     contact: List[Tuple[int, float, str]]
     trace: List[Tuple]
+    pair: Optional[ObstaclePair] = None  # the pair the contact report used
     flipped: bool = False
     stages: List[StageRecord] = field(default_factory=list)
     stationarity: float = 0.0
@@ -191,7 +182,6 @@ class _Stage:
         self.tw[0] = self.tw[-1] = h / 2.0
         self.ref_vals = ref.values
         self.conv_ref = self.ws.conv(self.ref_vals)
-        self.diag = self.ws.rho + self.ws.Wl + self.ws.Wr
         # feasible box: well sandwich, intersected with the obstacle band
         pot = spec.potential
         self.lob = np.full(n, pot.well_lo)
@@ -213,7 +203,7 @@ class _Stage:
         W, _ = potential_eval_grad(self.spec.potential, q)
         pot = float(np.sum(self.a * W * self.tw))
         v = q - self.ref_vals
-        svv = 2 * h * (float(np.sum(v * v * self.diag)) - float(np.sum(v * self.ws.conv(v))))
+        svv = 2 * h * (float(np.sum(v * v * self.ws.diag)) - float(np.sum(v * self.ws.conv(v))))
         svr = 2 * h * (float(np.sum(v * self.ref_vals * self.ws.rho))
                        - float(np.sum(v * self.conv_ref))
                        + float(np.sum(v * (self.ref_vals - self.ref.left_const) * self.ws.Wl))
@@ -226,15 +216,9 @@ class _Stage:
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         """h * (full operator field), pinned to zero at the window edges."""
-        Lq = (q * self.diag - self.ws.conv(q)
-              - self.ref.left_const * self.ws.Wl - self.ref.right_const * self.ws.Wr)
-        _, Wp = potential_eval_grad(self.spec.potential, q)
-        g = Lq + self.a * Wp
-        if self.mu:
-            g = g + self.mu * (q - self.ref_vals)
-        if self.eta:
-            g = g - self.eta * second_difference(q, self.h)
-        g = self.h * g
+        g = self.h * operator_field(self.ws, q, self.ref.left_const,
+                                    self.ref.right_const, self.spec, self.a,
+                                    self.eta, self.mu, self.ref_vals)
         g[0] = g[-1] = 0.0
         return g
 
@@ -266,7 +250,7 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     q[0], q[-1] = q0[0], q0[-1]
     pieces = stage.energy_pieces(q)
     E = sum(pieces)
-    alpha = cfg.fixed_step if cfg.step_rule == "fixed" else 1.0
+    alpha = 1.0
     rn = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -277,27 +261,19 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
         if rn <= gtol:
             break
         accepted = False
-        if cfg.step_rule == "fixed":
+        for _ in range(cfg.max_backtracks):
             qt = stage.project(q - alpha * g)
             qt[0], qt[-1] = q[0], q[-1]
+            d = q - qt
+            dd = float(np.sum(d * d))
+            if dd == 0.0:
+                break
             pt = stage.energy_pieces(qt)
             Et = sum(pt)
-            if Et < E - 1e-300:
+            if Et <= E - ARMIJO_C1 / alpha * dd:
                 accepted = True
-        else:
-            for _ in range(cfg.max_backtracks):
-                qt = stage.project(q - alpha * g)
-                qt[0], qt[-1] = q[0], q[-1]
-                d = q - qt
-                dd = float(np.sum(d * d))
-                if dd == 0.0:
-                    break
-                pt = stage.energy_pieces(qt)
-                Et = sum(pt)
-                if Et <= E - cfg.armijo_c1 / alpha * dd:
-                    accepted = True
-                    break
-                alpha *= cfg.armijo_shrink
+                break
+            alpha *= ARMIJO_SHRINK
         if not accepted:
             raise StagnationError(
                 f"no admissible descent step above machine precision "
@@ -305,11 +281,8 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                 it, rn, alpha)
         if Et > E + 1e-12:
             raise SolverError("energy increased on an accepted step")
-        if E - Et < cfg.energy_decrease_min and rn > gtol:
-            log.debug("stage decrease %.3e below energy_decrease_min", E - Et)
         q, E, pieces = qt, Et, pt
-        if cfg.step_rule == "armijo":
-            alpha = min(alpha * 2.0, 1e8)
+        alpha = min(alpha * 2.0, 1e8)
     return q, E, it, rn
 
 
@@ -331,9 +304,7 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
     solver_cfg = solver_cfg or SolverConfig()
     grid = Q0.grid
     if ref is None:
-        ref = Profile.from_function(
-            grid, lambda x: reference_profile_eval(spec.reference, x),
-            spec.reference.zeta1, spec.reference.zeta2)
+        ref = reference_profile(spec, grid)
     stage = _Stage(spec, grid, ref, eta, mu, pair, cfg, tail)
     trace: List[Tuple] = []
     q0 = project_admissible(Q0, pair, cfg, "gamma_only").values if pair is not None \
@@ -348,7 +319,7 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
     rmax, _ = residual_EL(prof, spec, tail) if eta == 0 and mu == 0 else \
         (_stage_residual_max(stage, q), None)
     return SolveResult(profile=prof, breakdown=bd, residual_max=rmax,
-                       contact=contact, trace=trace, stages=[
+                       contact=contact, trace=trace, pair=pair, stages=[
                            StageRecord(mu, eta, it, E, rn, len(contact))],
                        stationarity=rn, iterations=it)
 
@@ -420,9 +391,7 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     if grid.R < 4.0 * max(abs(obstacle_cfg.b1), abs(obstacle_cfg.b2)):
         raise ValueError("window too small: need R >= 4*max(|b1|, |b2|)")
     pot = spec.potential
-    ref = Profile.from_function(
-        grid, lambda x: reference_profile_eval(spec.reference, x),
-        spec.reference.zeta1, spec.reference.zeta2)
+    ref = reference_profile(spec, grid)
     Q = ref.copy()
 
     trace: List[Tuple] = []
@@ -431,15 +400,12 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     stage_index = -1
     skip_until = resume_state[0] if resume_state is not None else -1
     if resume_state is not None:
-        Q = resume_state[1].copy()
-        if flipped:
-            Q = Profile(Q.grid, -Q.values, -Q.left_const, -Q.right_const)
+        Q = _unflip(resume_state[1], flipped)  # negation is its own inverse
 
     def run_stage(mu, eta, pair):
         nonlocal Q
         stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg, tail)
-        q0 = Q.values if schedule.warm_start else ref.values
-        q, E, it, rn = _minimize_stage(stage, q0, solver_cfg, trace, len(trace))
+        q, E, it, rn = _minimize_stage(stage, Q.values, solver_cfg, trace, len(trace))
         Q = Profile(grid, q, Q.left_const, Q.right_const)
         contact = _contact_nodes(q, pair, grid)
         if pair is not None:
@@ -447,24 +413,28 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
         stages.append(StageRecord(mu, eta, it, E, rn, len(contact)))
         return contact
 
+    def barrier_pair(eta):
+        phi = solve_barrier(spec, obstacle_cfg, grid, eta, +1, tail)
+        psi = solve_barrier(spec, obstacle_cfg, grid, eta, -1, tail)
+        return build_envelopes(phi, psi, obstacle_cfg, eta)
+
     contact: List[Tuple[int, float, str]] = []
     for mu in schedule.mus_positive():
         for eta in schedule.etas():
             stage_index += 1
             if stage_index <= skip_until:
                 continue
-            phi = solve_barrier(spec, obstacle_cfg, grid, eta, +1, tail)
-            psi = solve_barrier(spec, obstacle_cfg, grid, eta, -1, tail)
-            last_pair = build_envelopes(phi, psi, obstacle_cfg, eta)
+            last_pair = barrier_pair(eta)
             contact = run_stage(mu, eta, last_pair)
             if stage_callback is not None:
                 stage_callback(stage_index, mu, eta, _unflip(Q, flipped))
+    if last_pair is None:  # no barrier stage ran, e.g. a resume past them all
+        last_pair = barrier_pair(0.0)
     if schedule.final_polish():
         stage_index += 1
         if stage_index > skip_until:
             run_stage(0.0, 0.0, None)  # well clamp only
-            if last_pair is not None:
-                contact = _contact_nodes(Q.values, last_pair, grid)
+            contact = _contact_nodes(Q.values, last_pair, grid)
             if stage_callback is not None:
                 stage_callback(stage_index, 0.0, 0.0, _unflip(Q, flipped))
 
@@ -486,7 +456,8 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                          residual_max=rmax,
                          contact=[(i, x, swap[w] if flipped else w)
                                   for i, x, w in contact],
-                         trace=trace, flipped=flipped, stages=stages,
+                         trace=trace, pair=last_pair, flipped=flipped,
+                         stages=stages,
                          stationarity=stages[-1].stationarity if stages else 0.0,
                          iterations=sum(s.iterations for s in stages),
                          limit_check=lim, monotone=mono)
@@ -504,12 +475,7 @@ def residual_EL(Q: Profile, spec: ProblemSpec,
     """Residual of  L Q + a W'(Q)  on interior nodes, excluding the two
     outermost interior nodes per side (lopsided quadrature there)."""
     ws = workspace_for(spec.kernel, Q.grid, tail)
-    q = Q.values
-    Lq = (q * (ws.rho + ws.Wl + ws.Wr) - ws.conv(q)
-          - Q.left_const * ws.Wl - Q.right_const * ws.Wr)
-    _, Wp = potential_eval_grad(spec.potential, q)
-    fld = Lq + np.asarray(spec.modulation(Q.x)) * Wp
-    inner = fld[2:-2]
+    inner = operator_field(ws, Q.values, Q.left_const, Q.right_const, spec)[2:-2]
     return float(np.abs(inner).max()), inner
 
 
@@ -529,9 +495,7 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     Q = result.profile
     grid = Q.grid
     if ref is None:
-        ref = Profile.from_function(
-            grid, lambda x: reference_profile_eval(spec.reference, x),
-            spec.reference.zeta1, spec.reference.zeta2)
+        ref = reference_profile(spec, grid)
     h = grid.h
     v = Q.values - ref.values
     vprof = Profile(grid, v, 0.0, 0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import pytest
 
@@ -157,6 +158,20 @@ class TestSolve:
         for name in ("profile.csv", "energy_trace.csv", "obstacles.csv",
                      "diagnostics.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_resume_after_final_stage_writes_same_obstacles(self, solved,
+                                                             tmp_path):
+        # resumes into a copy; runs before the in-place resume test below,
+        # so ``out`` still holds the fresh run's artifacts
+        code, tmp, cfg, out = solved
+        copy = tmp_path / "resumed"
+        shutil.copytree(out, copy)
+        assert main(["solve", cfg, "--out", str(copy), "--resume"]) == 0
+        assert ((copy / "obstacles.csv").read_bytes()
+                == (out / "obstacles.csv").read_bytes())
+        fresh = json.loads((out / "diagnostics.json").read_text())
+        resumed = json.loads((copy / "diagnostics.json").read_text())
+        assert resumed["rhs_scale"] == fresh["rhs_scale"]
 
     def test_resume_from_staged_profile(self, solved, capsys):
         code, tmp, cfg, out = solved

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nlhet.discretize import (Grid, Profile, TailClosure, WHOLE_LINE,
                               apply_full_operator, apply_nonlocal,
-                              bilinear_form, seminorm_K)
+                              bilinear_form, reference_profile, seminorm_K,
+                              workspace_for)
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
@@ -39,8 +40,28 @@ class TestGridProfile:
         q = Profile(g, p.values + 1.0, 0.0, 0.0)
         assert not q.is_admissible()
 
+    def test_reference_profile_matches_sampled_ramp(self):
+        spec = homogeneous_spec()
+        g = Grid(R=30.0, n=601)
+        ref = reference_profile(spec, g)
+        expected = reference_on(spec, g)
+        assert np.array_equal(ref.values, expected.values)
+        assert (ref.left_const, ref.right_const) == (
+            expected.left_const, expected.right_const)
+
+    def test_reference_profile_far_fields_are_wells(self):
+        spec = homogeneous_spec()
+        ref = reference_profile(spec, Grid(R=30.0, n=601))
+        wells = (spec.potential.zeta1, spec.potential.zeta2)
+        assert (ref.left_const, ref.right_const) == wells
+        assert (ref.values[0], ref.values[-1]) == wells
+
 
 class TestApplyNonlocal:
+    def test_workspace_diag_is_row_sum_plus_tails(self):
+        ws = workspace_for(KER, Grid(R=20.0, n=801))
+        assert np.array_equal(ws.diag, ws.rho + ws.Wl + ws.Wr)
+
     def test_annihilates_constants(self):
         g = Grid(R=20.0, n=801)
         p = Profile.from_function(g, lambda x: np.full_like(x, 3.7))

@@ -98,12 +98,14 @@ class TestMinimizeConstrained:
         assert np.all(q[mid] <= pair.Phi.values[mid] + 1e-9)
         assert np.all(q[mid] >= pair.Psi.values[mid] - 1e-9)
 
-    def test_stagnation_error_with_bad_fixed_step(self, small_setup):
+    def test_stagnation_error_with_one_backtrack(self, small_setup):
+        # one backtrack per iteration cannot absorb the step doubling, so
+        # Armijo runs out of admissible steps a few iterations in
         spec, grid, cfg = small_setup
         ref = reference_on(spec, grid)
         with pytest.raises(StagnationError):
             minimize_constrained(ref, spec, None, None, 1e-2, 0.05,
-                                 SolverConfig(step_rule="fixed", fixed_step=1e9))
+                                 SolverConfig(max_backtracks=1))
 
     def test_discrete_complementarity_at_forced_contact(self, small_setup):
         # a tight barrier offset forces tail contact: there the raw gradient

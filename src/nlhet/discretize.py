@@ -16,7 +16,9 @@ kernel moments.
 
 All weights depend only on |i - j|, so operator application and every
 double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
-summation order (deterministic output for identical input).
+summation order (deterministic output for identical input).  The FFT length
+is the next power of two >= 2n - 1: the circular wrap-around of the length
+3n - 2 linear convolution then misses the n output samples that are kept.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ class Workspace:
     ``w[m-1]`` is the kernel mass of the cell at node offset m; ``rho`` the
     row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
     ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.
-    ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT.
+    ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT of length
+    ``_L``, the next power of two >= 2n - 1 (16384 at n = 8001): outputs
+    n - 1 .. 2n - 2 of the circular convolution then carry no aliased terms.
     """
 
     def __init__(self, kernel: KernelSpec, grid: Grid, tail: TailClosure):
@@ -201,7 +205,7 @@ class Workspace:
         n, h = grid.n, grid.h
         self.w = _cell_masses(kernel, h, n - 1)
         ker_full = np.concatenate([self.w[::-1], [0.0], self.w])
-        self._L = 1 << int(math.ceil(math.log2(3 * n)))
+        self._L = 1 << (2 * n - 2).bit_length()
         self._ker_f = np.fft.rfft(ker_full, self._L)
         self._n = n
         self.rho = self.conv(np.ones(n))
@@ -261,18 +265,25 @@ def workspace_for(kernel: KernelSpec, grid: Grid,
 def operator_field(ws: Workspace, q: np.ndarray, left_const: float,
                    right_const: float, spec: Optional[ProblemSpec] = None,
                    a: Optional[np.ndarray] = None, eta: float = 0.0,
-                   mu: float = 0.0, ref: Optional[np.ndarray] = None) -> np.ndarray:
+                   mu: float = 0.0, ref: Optional[np.ndarray] = None,
+                   conv_q: Optional[np.ndarray] = None,
+                   Wp: Optional[np.ndarray] = None) -> np.ndarray:
     """L q + a W'(q) + mu (q - ref) - eta d2 q on all n nodes.
 
     q holds node values with the given far fields.  The a W'(q) term needs
     the model ``spec``; ``a``, its modulation on the grid, is sampled when not
-    given.  h times the full field is the discrete energy gradient.
+    given.  A caller that already holds ``conv_q = ws.conv(q)`` or
+    ``Wp = W'(q)`` passes them to skip the convolution or the potential call.
+    h times the full field is the discrete energy gradient.
     """
-    out = q * ws.diag - ws.conv(q) - left_const * ws.Wl - right_const * ws.Wr
+    if conv_q is None:
+        conv_q = ws.conv(q)
+    out = q * ws.diag - conv_q - left_const * ws.Wl - right_const * ws.Wr
     if spec is not None:
         if a is None:
             a = np.asarray(spec.modulation(ws.grid.x))
-        _, Wp = potential_eval_grad(spec.potential, q)
+        if Wp is None:
+            _, Wp = potential_eval_grad(spec.potential, q)
         out = out + a * Wp
     if mu:
         out = out + mu * (q - ref)

@@ -119,7 +119,9 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     """Solve the mixed local/nonlocal Dirichlet problem for one barrier.
 
     Assembles the dense band system with the same quadrature weights as the
-    operator application and solves it directly.  The linear residual must
+    operator application and solves it directly: the band block is Toeplitz
+    in the kernel masses, and the exterior data couple in through one
+    convolution of the data with the band zeroed.  The linear residual must
     come out below 1e-8 * C0; a numerically singular system raises
     BarrierSolveError carrying a condition estimate.
     """
@@ -132,34 +134,28 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     gl = spec.potential.zeta1 + sign * r
     gr = spec.potential.zeta2 + sign * r
     ws = workspace_for(spec.kernel, grid, tail)
-    x, n, h = grid.x, grid.n, grid.h
+    x, h = grid.x, grid.h
     band = _band_indices(grid, cfg)
     if band.size == 0:
         raise ValueError("band contains no grid nodes; refine the grid or widen tau")
     uext = np.where(x <= cfg.b1 - cfg.tau, gl, gr)
-    wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
-    offs = band[:, None] - np.arange(n)[None, :]
-    Wrow = wfull[offs + n - 1]
-    nb = band.size
-    A = -Wrow[:, band]
-    idx = np.arange(nb)
+    # the band is a contiguous run of nodes strictly inside the window, so
+    # its eta neighbours are the next band node or band[0] - 1, band[-1] + 1
+    A = -ws.offset_weight(band[:, None] - band[None, :])
+    idx = np.arange(band.size)
     A[idx, idx] += ws.diag[band]
-    b = np.full(nb, sign * C0)
+    b = np.full(band.size, sign * C0)
     b += ws.Wl[band] * gl + ws.Wr[band] * gr
-    mask = np.ones(n, bool)
-    mask[band] = False
-    b += Wrow[:, mask] @ uext[mask]
+    outside = uext.copy()
+    outside[band] = 0.0
+    b += ws.conv(outside)[band]
     if eta > 0:
-        A[idx, idx] += 2 * eta / h ** 2
-        in_band = np.zeros(n, bool)
-        in_band[band] = True
-        for k, i in enumerate(band):
-            for j in (i - 1, i + 1):
-                if 0 <= j < n and in_band[j]:
-                    A[k, k + (j - i)] -= eta / h ** 2
-                else:
-                    b[k] += eta / h ** 2 * (uext[j] if 0 <= j < n
-                                            else (gl if j < 0 else gr))
+        c = eta / h ** 2
+        A[idx, idx] += 2 * c
+        A[idx[:-1], idx[1:]] -= c
+        A[idx[1:], idx[:-1]] -= c
+        b[0] += c * uext[band[0] - 1]
+        b[-1] += c * uext[band[-1] + 1]
     try:
         u = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as e:

@@ -39,6 +39,7 @@ __all__ = [
     "StageRecord",
     "SolverError",
     "StagnationError",
+    "NonFiniteEnergyError",
     "NonConvergenceError",
     "truncate_to_wells",
     "minimize_constrained",
@@ -65,6 +66,12 @@ class StagnationError(SolverError):
         self.iteration = iteration
         self.stationarity = stationarity
         self.step = step
+
+
+class NonFiniteEnergyError(SolverError):
+    def __init__(self, msg, term):
+        super().__init__(msg)
+        self.term = term
 
 
 class NonConvergenceError(SolverError):
@@ -195,30 +202,60 @@ class _Stage:
             if np.any(self.lob > self.upb):
                 raise SolverError("empty feasible box: obstacles conflict with wells")
 
-    def energy_pieces(self, q: np.ndarray) -> Tuple[float, float, float, float]:
+    def trial(self, q: np.ndarray) -> Tuple[Tuple[float, float, float, float],
+                                            Tuple[np.ndarray, np.ndarray]]:
+        """Energy pieces at q from one convolution and one potential call.
+
+        Also returns (conv(q - ref), W'(q)), from which ``gradient``
+        builds the gradient without another convolution or potential call.
+        A non-finite piece raises NonFiniteEnergyError naming the term.
+        """
         h = self.h
+        v = q - self.ref_vals
+        cv = self.ws.conv(v)
+        W, Wp = potential_eval_grad(self.spec.potential, q)
         dv = np.diff(q) / h
         visc = 0.5 * self.eta * float(np.sum(dv * dv)) * h
-        pen = 0.5 * self.mu * float(np.sum((q - self.ref_vals) ** 2 * self.tw))
-        W, _ = potential_eval_grad(self.spec.potential, q)
+        pen = 0.5 * self.mu * float(np.sum(v ** 2 * self.tw))
         pot = float(np.sum(self.a * W * self.tw))
-        v = q - self.ref_vals
-        svv = 2 * h * (float(np.sum(v * v * self.ws.diag)) - float(np.sum(v * self.ws.conv(v))))
+        svv = 2 * h * (float(np.sum(v * v * self.ws.diag)) - float(np.sum(v * cv)))
         svr = 2 * h * (float(np.sum(v * self.ref_vals * self.ws.rho))
                        - float(np.sum(v * self.conv_ref))
                        + float(np.sum(v * (self.ref_vals - self.ref.left_const) * self.ws.Wl))
                        + float(np.sum(v * (self.ref_vals - self.ref.right_const) * self.ws.Wr)))
         inter = 0.25 * (svv + 2.0 * svr)
-        return visc, pen, pot, inter
+        pieces = (visc, pen, pot, inter)
+        for term, val in zip(("viscous", "penalty", "potential", "interaction"), pieces):
+            if not math.isfinite(val):
+                raise NonFiniteEnergyError(
+                    f"non-finite {term} energy ({val}) at a trial point "
+                    f"(eta={self.eta:g}, mu={self.mu:g})", term)
+        return pieces, (cv, Wp)
 
-    def energy(self, q: np.ndarray) -> float:
-        return sum(self.energy_pieces(q))
+    def evaluate(self, q: np.ndarray) -> Tuple[Tuple[float, float, float, float],
+                                               np.ndarray]:
+        """(energy pieces, gradient) at q: one convolution, one potential call."""
+        pieces, parts = self.trial(q)
+        return pieces, self.gradient(q, parts)
 
-    def gradient(self, q: np.ndarray) -> np.ndarray:
-        """h * (full operator field), pinned to zero at the window edges."""
+    def energy_pieces(self, q: np.ndarray) -> Tuple[float, float, float, float]:
+        return self.trial(q)[0]
+
+    def gradient(self, q: np.ndarray,
+                 parts: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+        """h * (full operator field), pinned to zero at the window edges.
+
+        ``parts``, the (conv(q - ref), W'(q)) that ``trial`` returned for
+        this q, replaces the convolution and the potential call.
+        """
+        conv_q = Wp = None
+        if parts is not None:
+            conv_v, Wp = parts
+            conv_q = conv_v + self.conv_ref
         g = self.h * operator_field(self.ws, q, self.ref.left_const,
                                     self.ref.right_const, self.spec, self.a,
-                                    self.eta, self.mu, self.ref_vals)
+                                    self.eta, self.mu, self.ref_vals,
+                                    conv_q=conv_q, Wp=Wp)
         g[0] = g[-1] = 0.0
         return g
 
@@ -243,18 +280,20 @@ def _contact_nodes(q: np.ndarray, pair: Optional[ObstaclePair], grid: Grid,
 
 
 def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
-                    trace: List[Tuple], iter_offset: int) -> Tuple[np.ndarray, float, int, float]:
+                    trace: List[Tuple], iter_offset: int) -> Tuple[np.ndarray, Tuple, int, float]:
+    """Projected-gradient descent from q0; returns (q, energy pieces, iterations,
+    stationarity).  Each trial point is evaluated once, and the accepted
+    trial's convolution and W' give the next iterate's gradient."""
     cfg = solver_cfg
     gtol = cfg.resolve_grad_tol(stage.grid.n)
     q = stage.project(q0.copy())
     q[0], q[-1] = q0[0], q0[-1]
-    pieces = stage.energy_pieces(q)
+    pieces, g = stage.evaluate(q)
     E = sum(pieces)
     alpha = 1.0
     rn = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = stage.gradient(q)
         r = q - stage.project(q - g)
         rn = float(np.linalg.norm(r))
         trace.append((iter_offset + it - 1, *pieces, sum(pieces), rn))
@@ -268,7 +307,7 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
             dd = float(np.sum(d * d))
             if dd == 0.0:
                 break
-            pt = stage.energy_pieces(qt)
+            pt, parts = stage.trial(qt)
             Et = sum(pt)
             if Et <= E - ARMIJO_C1 / alpha * dd:
                 accepted = True
@@ -282,8 +321,9 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
         if Et > E + 1e-12:
             raise SolverError("energy increased on an accepted step")
         q, E, pieces = qt, Et, pt
+        g = stage.gradient(q, parts)
         alpha = min(alpha * 2.0, 1e8)
-    return q, E, it, rn
+    return q, pieces, it, rn
 
 
 def minimize_constrained(Q0: Profile, spec: ProblemSpec,
@@ -309,9 +349,8 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
     trace: List[Tuple] = []
     q0 = project_admissible(Q0, pair, cfg, "gamma_only").values if pair is not None \
         else Q0.values
-    q, E, it, rn = _minimize_stage(stage, q0, solver_cfg, trace, 0)
+    q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace, 0)
     prof = Profile(grid, q, Q0.left_const, Q0.right_const)
-    pieces = stage.energy_pieces(q)
     bd = EnergyBreakdown(*pieces)
     contact = _contact_nodes(q, pair, grid)
     if pair is not None:
@@ -320,7 +359,7 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
         (_stage_residual_max(stage, q), None)
     return SolveResult(profile=prof, breakdown=bd, residual_max=rmax,
                        contact=contact, trace=trace, pair=pair, stages=[
-                           StageRecord(mu, eta, it, E, rn, len(contact))],
+                           StageRecord(mu, eta, it, bd.total, rn, len(contact))],
                        stationarity=rn, iterations=it)
 
 
@@ -405,18 +444,22 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     def run_stage(mu, eta, pair):
         nonlocal Q
         stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg, tail)
-        q, E, it, rn = _minimize_stage(stage, Q.values, solver_cfg, trace, len(trace))
+        q, pieces, it, rn = _minimize_stage(stage, Q.values, solver_cfg, trace, len(trace))
         Q = Profile(grid, q, Q.left_const, Q.right_const)
         contact = _contact_nodes(q, pair, grid)
         if pair is not None:
             _assert_barrier_comparison(Q, pair, obstacle_cfg)
-        stages.append(StageRecord(mu, eta, it, E, rn, len(contact)))
+        stages.append(StageRecord(mu, eta, it, sum(pieces), rn, len(contact)))
         return contact
 
+    pairs = {}  # the barrier problem does not involve mu: one pair per eta
+
     def barrier_pair(eta):
-        phi = solve_barrier(spec, obstacle_cfg, grid, eta, +1, tail)
-        psi = solve_barrier(spec, obstacle_cfg, grid, eta, -1, tail)
-        return build_envelopes(phi, psi, obstacle_cfg, eta)
+        if eta not in pairs:
+            phi = solve_barrier(spec, obstacle_cfg, grid, eta, +1, tail)
+            psi = solve_barrier(spec, obstacle_cfg, grid, eta, -1, tail)
+            pairs[eta] = build_envelopes(phi, psi, obstacle_cfg, eta)
+        return pairs[eta]
 
     contact: List[Tuple[int, float, str]] = []
     for mu in schedule.mus_positive():

@@ -57,6 +57,22 @@ class TestGridProfile:
         assert (ref.values[0], ref.values[-1]) == wells
 
 
+class TestWorkspaceConv:
+    @pytest.mark.parametrize("n", [3, 5, 101])
+    def test_conv_matches_direct_sum(self, n):
+        # the FFT length only reaches 2n - 1: any circular wrap-around into
+        # the kept output slice would show up against the O(n^2) sum
+        ws = workspace_for(KER, Grid(R=10.0, n=n))
+        f = np.random.default_rng(n).normal(size=n)
+        direct = np.zeros(n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    direct[i] += ws.w[abs(i - j) - 1] * f[j]
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(ws.conv(f) - direct)) <= 1e-13 * scale
+
+
 class TestApplyNonlocal:
     def test_workspace_diag_is_row_sum_plus_tails(self):
         ws = workspace_for(KER, Grid(R=20.0, n=801))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile
+from nlhet.discretize import Grid, Profile, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import (EnvelopeClauseError, ObstacleConfig, band_check,
                              build_envelopes, compute_rhs_constant,
@@ -63,6 +63,32 @@ class TestSolveBarrier:
         psi = solve_barrier(spec, cfg, grid, 1e-2, -1)
         reflected = -phi.values[::-1]
         assert np.max(np.abs(psi.values - reflected)) < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_dense_reference_assembly(self, eta, sign):
+        # independent oracle: the full n x n operator matrix from the
+        # kernel cell masses, restricted to the band rows, with the exterior
+        # columns moved to the right-hand side
+        spec = modulated_spec()
+        grid = Grid(R=30.0, n=601)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        ws = workspace_for(spec.kernel, grid)
+        n, h, x = grid.n, grid.h, grid.x
+        wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
+        K = wfull[np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1]
+        M = np.diag(K.sum(axis=1) + ws.Wl + ws.Wr) - K
+        M += eta / h ** 2 * (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        r = cfg.resolve_r(spec)
+        gl = spec.potential.zeta1 + sign * r
+        gr = spec.potential.zeta2 + sign * r
+        band = (x > cfg.b1 - cfg.tau) & (x < cfg.b2 + cfg.tau)
+        u = np.where(x < 0, gl, gr)
+        rhs = sign * compute_rhs_constant(spec) + ws.Wl * gl + ws.Wr * gr
+        rhs = rhs[band] - M[np.ix_(band, ~band)] @ u[~band]
+        u[band] = np.linalg.solve(M[np.ix_(band, band)], rhs)
+        got = solve_barrier(spec, cfg, grid, eta, sign)
+        assert np.max(np.abs(got.values - u)) <= 1e-10 * np.max(np.abs(u))
 
     def test_window_must_contain_band(self):
         spec = homogeneous_spec()

@@ -8,7 +8,9 @@ from nlhet.discretize import Grid, Profile
 from nlhet.energy import total_energy
 from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import ObstacleConfig, build_envelopes, solve_barrier
-from nlhet.solver import (ContinuationSchedule, SolverConfig, StagnationError,
+from nlhet import solver
+from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
+                          SolverConfig, SolverError, StagnationError, _Stage,
                           continuation_run, minimize_constrained, residual_EL,
                           truncate_to_wells, verify_apriori_bounds)
 
@@ -107,6 +109,27 @@ class TestMinimizeConstrained:
             minimize_constrained(ref, spec, None, None, 1e-2, 0.05,
                                  SolverConfig(max_backtracks=1))
 
+    def test_non_finite_potential_raises_at_first_bad_trial(self, small_setup,
+                                                             monkeypatch):
+        # a NaN potential must stop the descent with the term named, not
+        # burn every backtrack and report a missing descent step
+        spec, grid, cfg = small_setup
+        ref = reference_on(spec, grid)
+        real = solver.potential_eval_grad
+        calls = []
+
+        def poisoned(pot, u):
+            calls.append(1)
+            W, Wp = real(pot, u)
+            return (np.full_like(W, np.nan) if len(calls) >= 3 else W), Wp
+
+        monkeypatch.setattr(solver, "potential_eval_grad", poisoned)
+        with pytest.raises(NonFiniteEnergyError, match="potential") as err:
+            minimize_constrained(ref, spec, None, None, 1e-2, 0.05)
+        assert isinstance(err.value, SolverError)
+        assert err.value.term == "potential"
+        assert len(calls) == 3
+
     def test_discrete_complementarity_at_forced_contact(self, small_setup):
         # a tight barrier offset forces tail contact: there the raw gradient
         # points out of the band (upper contact wants to rise), while free
@@ -134,6 +157,24 @@ class TestMinimizeConstrained:
             & (np.abs(q - pair.Psi.values) > 1e-9)
         free[0] = free[-1] = False
         assert np.abs(g[free]).max() <= gtol
+
+
+class TestFusedEvaluation:
+    def test_evaluate_matches_separate_energy_and_gradient(self):
+        spec = modulated_spec()
+        grid = Grid(R=60.0, n=2401)
+        ref = reference_on(spec, grid)
+        bump = np.exp(-grid.x ** 2 / 8.0) * np.sin(grid.x)
+        q = np.clip(ref.values + bump, 0.0, TWO_PI)
+        stage = _Stage(spec, grid, ref, 1e-2, 0.05, None, None, None)
+        pieces, g = stage.evaluate(q)
+        assert pieces == stage.energy_pieces(q)
+        g_ref = stage.gradient(q)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        assert g[0] == g[-1] == 0.0
+        bd = total_energy(Profile(grid, q, ref.left_const, ref.right_const),
+                          spec, 1e-2, 0.05, ref)
+        assert sum(pieces) == pytest.approx(bd.total, rel=1e-9)
 
 
 class TestSchedule:
@@ -168,6 +209,30 @@ def small_run():
                                  mu_seq=(1e-1, 2e-2, 0.0))
     res = continuation_run(spec, grid, cfg, sched, SolverConfig())
     return spec, grid, cfg, sched, res
+
+
+class TestBarrierCache:
+    def test_each_barrier_solved_once(self, monkeypatch):
+        # the barrier problem does not involve mu, so one (eta, sign) solve
+        # serves every mu stage
+        spec = homogeneous_spec()
+        grid = Grid(R=40.0, n=401)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        sched = ContinuationSchedule(eta_seq=(1e-1, 1e-2, 0.0),
+                                     mu_seq=(1e-1, 2e-2, 0.0))
+        real = solver.solve_barrier
+        keys = []
+
+        def counting(spec, cfg, grid, eta, sign, tail=None):
+            keys.append((eta, sign))
+            return real(spec, cfg, grid, eta, sign, tail)
+
+        monkeypatch.setattr(solver, "solve_barrier", counting)
+        res = continuation_run(spec, grid, cfg, sched, SolverConfig())
+        assert sorted(keys) == sorted((eta, sign) for eta in sched.etas()
+                                      for sign in (+1, -1))
+        assert len(res.stages) == 7
+        assert res.pair.eta == 0.0
 
 
 class TestContinuation:

@@ -52,12 +52,22 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_rows(path: str, header: str, row_fmt: str, rows) -> None:
+    """CSV with one ``row_fmt % row`` line per row (rows of Python numbers)."""
+    _atomic_write(path, "\n".join([header, *(row_fmt % r for r in rows)]) + "\n")
+
+
+def _columns(*cols):
+    """Rows of Python floats, converted 1024 rows at a time: lists of whole
+    columns raise the peak RSS of a solve at n = 8001 by about 1 MB."""
+    cols = [np.asarray(c, float) for c in cols]
+    for k in range(0, cols[0].size, 1024):
+        yield from zip(*(c[k:k + 1024].tolist() for c in cols))
+
+
 def write_profile_csv(path: str, Q: Profile, ref: Profile) -> None:
-    rows = ["x,Q,Qsharp,v"]
-    v = Q.values - ref.values
-    for xx, qq, rr, vv in zip(Q.x, Q.values, ref.values, v):
-        rows.append(",".join(_FMT % t for t in (xx, qq, rr, vv)))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_rows(path, "x,Q,Qsharp,v", ",".join([_FMT] * 4),
+                _columns(Q.x, Q.values, ref.values, Q.values - ref.values))
 
 
 def read_profile_csv(path: str, R_hint: Optional[float] = None):
@@ -79,19 +89,14 @@ def read_profile_csv(path: str, R_hint: Optional[float] = None):
 
 
 def write_obstacles_csv(path: str, pair: ObstaclePair) -> None:
-    rows = ["x,phi,psi,Phi,Psi"]
-    for t in zip(pair.phi.x, pair.phi.values, pair.psi.values,
-                 pair.Phi.values, pair.Psi.values):
-        rows.append(",".join(_FMT % v for v in t))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_rows(path, "x,phi,psi,Phi,Psi", ",".join([_FMT] * 5),
+                _columns(pair.phi.x, pair.phi.values, pair.psi.values,
+                         pair.Phi.values, pair.Psi.values))
 
 
 def write_trace_csv(path: str, trace) -> None:
-    rows = ["iter,viscous,penalty,potential,interaction,total,grad_norm"]
-    for it, visc, pen, pot, inter, tot, gn in trace:
-        rows.append("%d,%s" % (it, ",".join(_FMT % v for v in
-                                            (visc, pen, pot, inter, tot, gn))))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_rows(path, "iter,viscous,penalty,potential,interaction,total,grad_norm",
+                ",".join(["%d"] + [_FMT] * 6), trace)
 
 
 class _Lock:
@@ -145,30 +150,42 @@ def cmd_verify_model(cfg: RunConfig, outdir: Optional[str]) -> int:
 
 
 def _layer_match(Q: Profile, report_cfg: dict) -> Optional[dict]:
-    """L-inf distance to the best-shift explicit layer (homogeneous anchor)."""
+    """L-inf distance on |x| <= R/2 to the best-shift explicit layer
+    pi + 2 arctan(x - c) (homogeneous anchor).
+
+    The outer half of the window is left out: there the profile sits on the
+    wells while the layer is still 2/|x| away from them.  The shift comes
+    from a vectorized scan of c in [-10, 10] at step 0.1, refined by
+    bisection on the sign of the distance's slope.
+    """
     if not report_cfg.get("layer_match"):
         return None
-    x = Q.x
-    shifts = np.linspace(-10, 10, 2001)
-    best = math.inf
-    arg = 0.0
-    for c in shifts:
-        d = float(np.abs(Q.values - (np.pi + 2 * np.arctan(x - c))).max())
-        if d < best:
-            best, arg = d, float(c)
-    lo, hi = arg - 0.02, arg + 0.02
+    sel = np.abs(Q.x) <= Q.grid.R / 2
+    x, q = Q.x[sel], Q.values[sel]
+
+    def dist(c):
+        c = np.atleast_1d(c)[:, None]
+        return np.abs(q - (np.pi + 2 * np.arctan(x - c))).max(axis=1)
+
+    shifts = np.linspace(-10, 10, 201)
+    # 8 shifts per block: larger blocks raise the peak RSS of a solve
+    coarse = np.concatenate([dist(shifts[k:k + 8])
+                             for k in range(0, shifts.size, 8)])
+    k = int(np.argmin(coarse))
+    lo, hi = shifts[k] - 0.1, shifts[k] + 0.1
     for _ in range(40):
         c = 0.5 * (lo + hi)
-        dl = float(np.abs(Q.values - (np.pi + 2 * np.arctan(x - (c - 1e-4)))).max())
-        dr = float(np.abs(Q.values - (np.pi + 2 * np.arctan(x - (c + 1e-4)))).max())
+        dl, dr = dist([c - 1e-9, c + 1e-9])
         if dl < dr:
             hi = c
         else:
             lo = c
-        best = min(best, dl, dr)
+    shift = float(0.5 * (lo + hi))
+    best = float(dist(shift)[0])
+    if best > coarse[k]:  # the bisection left the coarse minimum's basin
+        shift, best = float(shifts[k]), float(coarse[k])
     tol = report_cfg.get("layer_tol", 0.05)
-    return {"distance": best, "shift": 0.5 * (lo + hi), "tol": tol,
-            "pass": best <= tol}
+    return {"distance": best, "shift": shift, "tol": tol, "pass": best <= tol}
 
 
 def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:

@@ -2,10 +2,14 @@
 
 The minimizer is projected gradient descent with Armijo backtracking on the
 feasible box (well sandwich intersected with the obstacle band on the
-constrained region).  Energy decreases strictly on every accepted step; the
-stationarity measure is ||Q - proj(Q - g)||_2 with g the discrete energy
-gradient, so at free nodes the Euler-Lagrange residual is bounded by
-grad_tol / h at convergence.
+constrained region).  After each accepted step the first trial step is the
+Barzilai-Borwein length (s.y)/(y.y) of the last step s and gradient change
+y, clamped to [BB_STEP_MIN, STEP_MAX]; where s.y <= 0 (the stage is locally
+nonconvex, a W'' < 0) the last accepted step is doubled instead.  Armijo
+halves a trial step until the energy decreases sufficiently, so energy
+decreases strictly on every accepted step.  The stationarity measure is
+||Q - proj(Q - g)||_2 with g the discrete energy gradient, so at free nodes
+the Euler-Lagrange residual is bounded by grad_tol / h at convergence.
 
 The continuation runs an outer loop over the penalty weights mu and an
 inner loop over the viscosity weights eta (warm starts throughout), re-solves
@@ -54,6 +58,8 @@ log = logging.getLogger("nlhet")
 MU_GUARD = 0.1  # heuristic cap on the first penalty weight (warned, not enforced)
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo rule
 ARMIJO_SHRINK = 0.5  # step factor per backtrack
+BB_STEP_MIN = 1e-10  # floor of the Barzilai-Borwein trial step
+STEP_MAX = 1e8  # cap of every trial step
 
 
 class SolverError(RuntimeError):
@@ -138,6 +144,7 @@ class StageRecord:
     energy: float
     stationarity: float
     contact_count: int
+    trials: int  # energy evaluations (``_Stage.trial`` calls)
 
 
 @dataclass
@@ -189,6 +196,12 @@ class _Stage:
         self.tw[0] = self.tw[-1] = h / 2.0
         self.ref_vals = ref.values
         self.conv_ref = self.ws.conv(self.ref_vals)
+        ws = self.ws
+        # per-stage weight of the interaction's cross term: svr = 2 h sum(v w_ref)
+        self.w_ref = (self.ref_vals * ws.rho - self.conv_ref
+                      + (self.ref_vals - ref.left_const) * ws.Wl
+                      + (self.ref_vals - ref.right_const) * ws.Wr)
+        self.trials = 0
         # feasible box: well sandwich, intersected with the obstacle band
         pot = spec.potential
         self.lob = np.full(n, pot.well_lo)
@@ -210,6 +223,7 @@ class _Stage:
         builds the gradient without another convolution or potential call.
         A non-finite piece raises NonFiniteEnergyError naming the term.
         """
+        self.trials += 1
         h = self.h
         v = q - self.ref_vals
         cv = self.ws.conv(v)
@@ -219,10 +233,7 @@ class _Stage:
         pen = 0.5 * self.mu * float(np.sum(v ** 2 * self.tw))
         pot = float(np.sum(self.a * W * self.tw))
         svv = 2 * h * (float(np.sum(v * v * self.ws.diag)) - float(np.sum(v * cv)))
-        svr = 2 * h * (float(np.sum(v * self.ref_vals * self.ws.rho))
-                       - float(np.sum(v * self.conv_ref))
-                       + float(np.sum(v * (self.ref_vals - self.ref.left_const) * self.ws.Wl))
-                       + float(np.sum(v * (self.ref_vals - self.ref.right_const) * self.ws.Wr)))
+        svr = 2 * h * float(np.sum(v * self.w_ref))
         inter = 0.25 * (svv + 2.0 * svr)
         pieces = (visc, pen, pot, inter)
         for term, val in zip(("viscous", "penalty", "potential", "interaction"), pieces):
@@ -279,11 +290,24 @@ def _contact_nodes(q: np.ndarray, pair: Optional[ObstaclePair], grid: Grid,
     return out
 
 
+def _next_step(s: np.ndarray, y: np.ndarray, alpha: float) -> float:
+    """First trial step after an accepted step s with gradient change y.
+
+    BB2 length (s.y)/(y.y) in [BB_STEP_MIN, STEP_MAX] where s.y > 0;
+    otherwise the accepted step alpha doubled, capped at STEP_MAX.
+    """
+    sy = float(np.sum(s * y))
+    if sy <= 0.0:
+        return min(2.0 * alpha, STEP_MAX)
+    return min(max(sy / float(np.sum(y * y)), BB_STEP_MIN), STEP_MAX)
+
+
 def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                     trace: List[Tuple], iter_offset: int) -> Tuple[np.ndarray, Tuple, int, float]:
     """Projected-gradient descent from q0; returns (q, energy pieces, iterations,
     stationarity).  Each trial point is evaluated once, and the accepted
-    trial's convolution and W' give the next iterate's gradient."""
+    trial's convolution and W' give the next iterate's gradient and, with
+    the last one, the next Barzilai-Borwein step."""
     cfg = solver_cfg
     gtol = cfg.resolve_grad_tol(stage.grid.n)
     q = stage.project(q0.copy())
@@ -320,9 +344,9 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                 it, rn, alpha)
         if Et > E + 1e-12:
             raise SolverError("energy increased on an accepted step")
-        q, E, pieces = qt, Et, pt
-        g = stage.gradient(q, parts)
-        alpha = min(alpha * 2.0, 1e8)
+        gt = stage.gradient(qt, parts)
+        alpha = _next_step(qt - q, gt - g, alpha)
+        q, E, pieces, g = qt, Et, pt, gt
     return q, pieces, it, rn
 
 
@@ -359,7 +383,8 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
         (_stage_residual_max(stage, q), None)
     return SolveResult(profile=prof, breakdown=bd, residual_max=rmax,
                        contact=contact, trace=trace, pair=pair, stages=[
-                           StageRecord(mu, eta, it, bd.total, rn, len(contact))],
+                           StageRecord(mu, eta, it, bd.total, rn, len(contact),
+                                       stage.trials)],
                        stationarity=rn, iterations=it)
 
 
@@ -449,7 +474,8 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
         contact = _contact_nodes(q, pair, grid)
         if pair is not None:
             _assert_barrier_comparison(Q, pair, obstacle_cfg)
-        stages.append(StageRecord(mu, eta, it, sum(pieces), rn, len(contact)))
+        stages.append(StageRecord(mu, eta, it, sum(pieces), rn, len(contact),
+                                  stage.trials))
         return contact
 
     pairs = {}  # the barrier problem does not involve mu: one pair per eta

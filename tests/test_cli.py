@@ -1,10 +1,20 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from nlhet.cli import main, read_profile_csv
+from nlhet.cli import (_layer_match, main, read_profile_csv,
+                       write_obstacles_csv, write_profile_csv,
+                       write_trace_csv)
+from nlhet.discretize import Grid, Profile
+from nlhet.obstacles import ObstacleConfig, ObstaclePair
+
+from conftest import layer
 
 
 CONFIG_SMALL = """
@@ -114,6 +124,15 @@ class TestVerifyModel:
     def test_missing_config_env_error(self, tmp_path):
         assert main(["verify-model", str(tmp_path / "no.ini")]) == 3
 
+    def test_python_dash_m_entry_point(self, tmp_path):
+        cfg = _write(tmp_path, "m.ini", CONFIG_BAD_GAMMA)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        run = subprocess.run([sys.executable, "-m", "nlhet", "verify-model", cfg],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 1  # the exit code of cli.main, not an import error
+        assert "nondegeneracy" in run.stdout
+
 
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
@@ -150,6 +169,15 @@ class TestSolve:
         Q, ref = read_profile_csv(str(out / "profile.csv"))
         assert Q.grid.n == 2401
         assert abs(Q.values[-1] - 2 * math.pi) < 0.1
+
+    def test_diagnostics_stage_counts_and_layer_match(self, solved):
+        code, tmp, cfg, out = solved
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["stages"]
+        assert all(s["trials"] >= s["iterations"] >= 1 for s in diag["stages"])
+        # measured on |x| <= R/2: the whole-window maximum would be the
+        # 2/R = 0.033 gap between layer and well at the window edge
+        assert diag["layer_match"]["distance"] < 1e-3
 
     def test_deterministic_outputs(self, solved, tmp_path):
         code, tmp, cfg, out = solved
@@ -190,6 +218,74 @@ class TestSolve:
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         assert main(["solve", cfg, "--out", str(blocker)]) == 3
+
+
+def _per_value(header, rows):
+    """Reference CSV text: every value rendered on its own with %.17g."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else "%.17g" % v
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriters:
+    @pytest.fixture
+    def columns(self):
+        # negative values, exact zeros and magnitudes >= 1e16 in every column
+        rng = np.random.default_rng(7)
+        grid = Grid(R=3.0, n=31)
+        cols = rng.normal(0.0, 1.0, (4, grid.n)) * 10.0 ** rng.integers(
+            -20, 20, (4, grid.n))
+        cols[:, ::5] = 0.0
+        cols[:, 1::7] = -3.0e17
+        cols[:, 2::9] = 1.0e16
+        return grid, cols
+
+    def test_profile_bytes(self, columns, tmp_path):
+        grid, (q, r, _, _) = columns
+        path = tmp_path / "p.csv"
+        write_profile_csv(str(path), Profile(grid, q, 0.0, 1.0),
+                          Profile(grid, r, 0.0, 1.0))
+        rows = [(float(x), float(a), float(b), float(a - b))
+                for x, a, b in zip(grid.x, q, r)]
+        assert path.read_text() == _per_value("x,Q,Qsharp,v", rows)
+
+    def test_obstacles_bytes(self, columns, tmp_path):
+        grid, cols = columns
+        phi, psi, Phi, Psi = (Profile(grid, c, 0.0, 1.0) for c in cols)
+        pair = ObstaclePair(phi, psi, Phi, Psi, ObstacleConfig(b1=-1.0, b2=1.0),
+                            0.5, 0.0, 1.0, 1.0, 0.0)
+        path = tmp_path / "o.csv"
+        write_obstacles_csv(str(path), pair)
+        rows = [tuple(float(v) for v in t) for t in zip(grid.x, *cols)]
+        assert path.read_text() == _per_value("x,phi,psi,Phi,Psi", rows)
+
+    def test_trace_bytes(self, columns, tmp_path):
+        grid, cols = columns
+        trace = [(i, *(float(v) for v in cols[:, i]), float(cols[0, i] * 3),
+                  float(abs(cols[1, i])))
+                 for i in range(grid.n)]
+        path = tmp_path / "t.csv"
+        write_trace_csv(str(path), trace)
+        rows = [("%d" % t[0], *t[1:]) for t in trace]
+        assert path.read_text() == _per_value(
+            "iter,viscous,penalty,potential,interaction,total,grad_norm", rows)
+
+
+class TestLayerMatch:
+    def test_shifted_layer_inside_half_window(self):
+        # outside |x| <= R/2 the profile is clamped to the wells, where the
+        # layer is 2/|x| away: only the inner half may enter the distance
+        grid = Grid(R=60.0, n=2401)
+        x = grid.x
+        q = np.where(x < -30.0, 0.0,
+                     np.where(x > 30.0, 2 * math.pi, layer(x, 0.3)))
+        rep = _layer_match(Profile(grid, q, 0.0, 2 * math.pi),
+                           {"layer_match": True})
+        assert rep["distance"] < 1e-6
+        assert abs(rep["shift"] - 0.3) <= 1e-4
+        assert rep["pass"]
 
 
 class TestDiagnose:

@@ -101,13 +101,16 @@ class TestMinimizeConstrained:
         assert np.all(q[mid] >= pair.Psi.values[mid] - 1e-9)
 
     def test_stagnation_error_with_one_backtrack(self, small_setup):
-        # one backtrack per iteration cannot absorb the step doubling, so
-        # Armijo runs out of admissible steps a few iterations in
+        # a Barzilai-Borwein step can overshoot the accepted step by more
+        # than one halving (3.5 against 0.87 at iteration 4 here); one trial
+        # per iteration cannot absorb that, so Armijo runs out of admissible
+        # steps on a BB step, after the initial unit step was accepted
         spec, grid, cfg = small_setup
         ref = reference_on(spec, grid)
-        with pytest.raises(StagnationError):
+        with pytest.raises(StagnationError) as err:
             minimize_constrained(ref, spec, None, None, 1e-2, 0.05,
                                  SolverConfig(max_backtracks=1))
+        assert err.value.iteration > 1
 
     def test_non_finite_potential_raises_at_first_bad_trial(self, small_setup,
                                                              monkeypatch):
@@ -159,6 +162,53 @@ class TestMinimizeConstrained:
         assert np.abs(g[free]).max() <= gtol
 
 
+class TestStepRule:
+    def test_tolerance_moves_the_path_not_the_answer(self, small_setup):
+        # the stage minimizer at the default grad_tol lies within criterion
+        # 11's 2 grad_tol / h of the same stage solved 100 times tighter
+        spec, grid, cfg = small_setup
+        pair = _pair_at(spec, cfg, grid, 1e-2)
+        ref = reference_on(spec, grid)
+        gtol = SolverConfig().resolve_grad_tol(grid.n)
+        loose = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
+        tight = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05,
+                                     SolverConfig(grad_tol=gtol / 100))
+        assert tight.stationarity <= gtol / 100
+        diff = np.abs(loose.profile.values - tight.profile.values).max()
+        assert diff <= 2 * gtol / grid.h
+
+    def test_nonconvex_start_falls_back_and_still_descends(self, small_setup,
+                                                            monkeypatch):
+        # a plateau on the potential maximum pi makes a W'' < 0 dominate the
+        # first steps: there s.y <= 0, the BB length is undefined and the
+        # step rule doubles the accepted step instead
+        spec, grid, cfg = small_setup
+        x = grid.x
+        q = np.clip(math.pi + 0.01 * np.sin(x / 5.0)
+                    + math.pi / 2 * (np.tanh(x - 10.0) + np.tanh(x + 10.0)),
+                    0.0, TWO_PI)
+        real_step, real_trial = solver._next_step, _Stage.trial
+        curvatures, trials = [], []
+
+        def step(s, y, alpha):
+            curvatures.append(float(np.sum(s * y)))
+            return real_step(s, y, alpha)
+
+        def trial(self, q):
+            trials.append(1)
+            return real_trial(self, q)
+
+        monkeypatch.setattr(solver, "_next_step", step)
+        monkeypatch.setattr(_Stage, "trial", trial)
+        res = minimize_constrained(Profile(grid, q, 0.0, TWO_PI), spec, None,
+                                   None, 0.0, 0.0)
+        assert sum(c <= 0.0 for c in curvatures) >= 1
+        totals = [row[5] for row in res.trace]
+        assert all(b < a for a, b in zip(totals, totals[1:]))
+        assert res.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
+        assert res.stages[0].trials == len(trials)
+
+
 class TestFusedEvaluation:
     def test_evaluate_matches_separate_energy_and_gradient(self):
         spec = modulated_spec()
@@ -175,6 +225,7 @@ class TestFusedEvaluation:
         bd = total_energy(Profile(grid, q, ref.left_const, ref.right_const),
                           spec, 1e-2, 0.05, ref)
         assert sum(pieces) == pytest.approx(bd.total, rel=1e-9)
+        assert pieces[3] == pytest.approx(bd.interaction, rel=1e-9)
 
 
 class TestSchedule:
@@ -243,6 +294,13 @@ class TestContinuation:
         assert res.residual_max < 1e-2
         q = res.profile.values
         assert np.all(q >= 0.0 - 1e-12) and np.all(q <= TWO_PI + 1e-12)
+
+    def test_trials_per_iteration(self, small_run):
+        # BB steps are mostly accepted at the first trial
+        spec, grid, cfg, sched, res = small_run
+        assert all(s.trials >= s.iterations for s in res.stages)
+        assert sum(s.trials for s in res.stages) \
+            <= 1.5 * sum(s.iterations for s in res.stages)
 
     def test_stage_energies_decrease_within_each_stage(self, small_run):
         spec, grid, cfg, sched, res = small_run

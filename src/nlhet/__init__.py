@@ -11,12 +11,11 @@ norm-scaling benchmark families.
 from .model import (KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec,
                     ReferenceProfile, kernel_eval, potential_eval_grad,
                     reference_profile_eval, verify_model)
-from .discretize import (Grid, Profile, TailClosure, apply_full_operator,
-                         apply_nonlocal, bilinear_form, seminorm_K)
-from .energy import (EnergyBreakdown, energy_gradient, renormalized_interaction,
-                     total_energy)
-from .obstacles import (ObstacleConfig, ObstaclePair, build_envelopes,
-                        project_admissible, solve_barrier)
+from .discretize import (Grid, Profile, apply_full_operator, apply_nonlocal,
+                         bilinear_form, seminorm_K)
+from .energy import EnergyBreakdown, renormalized_interaction, total_energy
+from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
+                        build_envelopes, project_admissible, solve_barrier)
 from .solver import (ContinuationSchedule, SolveResult, SolverConfig,
                      continuation_run, minimize_constrained, residual_EL,
                      truncate_to_wells, verify_apriori_bounds)
@@ -27,12 +26,11 @@ __all__ = [
     "KernelSpec", "ModulationSpec", "PotentialSpec", "ProblemSpec",
     "ReferenceProfile", "kernel_eval", "potential_eval_grad",
     "reference_profile_eval", "verify_model",
-    "Grid", "Profile", "TailClosure", "apply_full_operator", "apply_nonlocal",
+    "Grid", "Profile", "apply_full_operator", "apply_nonlocal",
     "bilinear_form", "seminorm_K",
-    "EnergyBreakdown", "energy_gradient", "renormalized_interaction",
-    "total_energy",
-    "ObstacleConfig", "ObstaclePair", "build_envelopes", "project_admissible",
-    "solve_barrier",
+    "EnergyBreakdown", "renormalized_interaction", "total_energy",
+    "ObstacleConfig", "ObstaclePair", "barrier_pair", "build_envelopes",
+    "project_admissible", "solve_barrier",
     "ContinuationSchedule", "SolveResult", "SolverConfig", "continuation_run",
     "minimize_constrained", "residual_EL", "truncate_to_wells",
     "verify_apriori_bounds",

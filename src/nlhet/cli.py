@@ -26,7 +26,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .discretize import Grid, Profile, reference_profile
 from .model import verify_model
 from .obstacles import (BarrierSolveError, EnvelopeClauseError, ObstaclePair,
-                        build_envelopes, solve_barrier)
+                        barrier_pair)
 from .solver import NonConvergenceError, SolverError, continuation_run
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_ENV = 0, 1, 2, 3
@@ -97,6 +97,32 @@ def write_obstacles_csv(path: str, pair: ObstaclePair) -> None:
 def write_trace_csv(path: str, trace) -> None:
     _write_rows(path, "iter,viscous,penalty,potential,interaction,total,grad_norm",
                 ",".join(["%d"] + [_FMT] * 6), trace)
+
+
+def write_tail_csv(path: str, Q: Profile, side: str) -> None:
+    """log |Q - far field| on the outer quarter of one side (-inf where zero)."""
+    x, R = Q.x, Q.grid.R
+    sel = (x >= R / 2) if side == "right" else (x <= -R / 2)
+    const = Q.right_const if side == "right" else Q.left_const
+    _write_rows(path, "x,log_abs_dev", ",".join([_FMT] * 2),
+                ((xx, math.log(dd) if dd > 0 else -math.inf)
+                 for xx, dd in _columns(x[sel], np.abs(Q.values[sel] - const))))
+
+
+def _ratio_rows(ks, norms):
+    """Rows (k, l2, hs, l2 ratio, hs ratio), each ratio against the row
+    before; the first row's ratios are nan."""
+    rows, prev = [], None
+    for k, (l2, hs) in zip(ks, norms):
+        rl, rh = (l2 / prev[0], hs / prev[1]) if prev else (math.nan, math.nan)
+        rows.append((k, l2, hs, rl, rh))
+        prev = (l2, hs)
+    return rows
+
+
+def write_norms_csv(path: str, rows) -> None:
+    _write_rows(path, "k,l2,hs,ratio_l2,ratio_hs", ",".join(["%d"] + [_FMT] * 4),
+                rows)
 
 
 class _Lock:
@@ -343,9 +369,7 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                 }
             elif check == "lewy-stampacchia":
                 eta = d["eta"]
-                phi = solve_barrier(spec, cfg.obstacles, Q.grid, eta, +1)
-                psi = solve_barrier(spec, cfg.obstacles, Q.grid, eta, -1)
-                pair = build_envelopes(phi, psi, cfg.obstacles, eta)
+                pair = barrier_pair(spec, cfg.obstacles, Q.grid, eta)
                 slack = d["ls_slack"]
                 if slack is None:
                     slack = 2 * cfg.solver.resolve_grad_tol(Q.grid.n) / Q.grid.h
@@ -376,15 +400,7 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                     fit = dg.fit_tail_decay(Q, side)
                     out[f"tail_{side}"] = vars(fit)
                     csvp = os.path.join(outdir, f"tail_{side}.csv")
-                    x = Q.x
-                    R = Q.grid.R
-                    sel = (x >= R / 2) if side == "right" else (x <= -R / 2)
-                    const = Q.right_const if side == "right" else Q.left_const
-                    dev = np.abs(Q.values[sel] - const)
-                    rows = ["x,log_abs_dev"]
-                    for xx, dd in zip(x[sel], dev):
-                        rows.append(f"{_FMT % xx},{_FMT % (math.log(dd) if dd > 0 else -math.inf)}")
-                    _atomic_write(csvp, "\n".join(rows) + "\n")
+                    write_tail_csv(csvp, Q, side)
                     outputs.append(csvp)
             else:
                 print(f"unknown check {check!r}", file=sys.stderr)
@@ -417,41 +433,24 @@ def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
             ks = list(range(0, b["kmax"] + 1))
             with ThreadPoolExecutor(max_workers=_thread_cap()) as ex:
                 norms = list(ex.map(lambda k: ab.bump_norms(fam, k), ks))
-            rows = ["k,l2,hs,ratio_l2,ratio_hs"]
-            ratios_l2, ratios_hs = [], []
-            for i, k in enumerate(ks):
-                l2, hs = norms[i]
-                rl = norms[i][0] / norms[i - 1][0] if i else float("nan")
-                rh = norms[i][1] / norms[i - 1][1] if i else float("nan")
-                if i:
-                    ratios_l2.append(rl)
-                    ratios_hs.append(rh)
-                rows.append(f"{k}," + ",".join(_FMT % v for v in (l2, hs, rl, rh)))
+            rows = _ratio_rows(ks, norms)
             path = os.path.join(outdir, f"bump_s{s:g}.csv")
-            _atomic_write(path, "\n".join(rows) + "\n")
+            write_norms_csv(path, rows)
             outputs.append(path)
-            el2 = ab.BUMP_L2_RATIO
             ehs = ab.bump_hs_ratio(s)
-            worst_l2 = max(abs(r / el2 - 1) for r in ratios_l2)
-            worst_hs = max(abs(r / ehs - 1) for r in ratios_hs)
+            worst_l2 = max(abs(r[3] / ab.BUMP_L2_RATIO - 1) for r in rows[1:])
+            worst_hs = max(abs(r[4] / ehs - 1) for r in rows[1:])
             good = worst_l2 <= b["bump_tol"] and worst_hs <= b["bump_tol"]
             verdicts[f"bump_s{s:g}"] = "pass" if good else "fail"
             ok &= good
         tex = ab.TraceExample()
-        rows = ["k,l2,hs,ratio_l2,ratio_hs"]
-        prev = None
-        tr_ok = True
-        for k in range(1, b["trace_kmax"] + 1):
-            l2, hh = ab.trace_norms(tex, k)
-            rl = l2 / prev[0] if prev else float("nan")
-            rh = hh / prev[1] if prev else float("nan")
-            if prev:
-                tr_ok &= abs(rl / ab.TRACE_L2_RATIO - 1) <= b["trace_tol"]
-                tr_ok &= abs(rh / ab.TRACE_HHALF_RATIO - 1) <= b["trace_tol"]
-            rows.append(f"{k}," + ",".join(_FMT % v for v in (l2, hh, rl, rh)))
-            prev = (l2, hh)
+        ks = range(1, b["trace_kmax"] + 1)
+        rows = _ratio_rows(ks, [ab.trace_norms(tex, k) for k in ks])
+        tr_ok = all(abs(r[3] / ab.TRACE_L2_RATIO - 1) <= b["trace_tol"]
+                    and abs(r[4] / ab.TRACE_HHALF_RATIO - 1) <= b["trace_tol"]
+                    for r in rows[1:])
         path = os.path.join(outdir, "trace.csv")
-        _atomic_write(path, "\n".join(rows) + "\n")
+        write_norms_csv(path, rows)
         outputs.append(path)
         verdicts["trace"] = "pass" if tr_ok else "fail"
         ok &= tr_ok

@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import (Interval, Profile, TailClosure, bilinear_form,
-                         operator_field, reference_profile, second_difference,
-                         seminorm_K, workspace_for)
+from .discretize import (Interval, Profile, bilinear_form, operator_field,
+                         reference_profile, second_difference, seminorm_K,
+                         workspace_for)
 from .energy import renormalized_interaction
 from .model import ProblemSpec, potential_eval_grad
 from .obstacles import ObstaclePair
@@ -179,8 +179,7 @@ class StickinessReport:
 
 def stickiness_check(Q: Profile, x1: float, x2: float, spec: ProblemSpec,
                      eta: float, mu: float, tol: float, *, rho: float,
-                     well: float, r: float, ref: Optional[Profile] = None,
-                     tail: Optional[TailClosure] = None) -> StickinessReport:
+                     well: float, r: float, ref: Optional[Profile] = None) -> StickinessReport:
     """Localized energy and sup deviation between two same-well clean points.
 
     Preconditions (violations raise PreconditionError): x2 >= x1 + 4 and both
@@ -202,7 +201,7 @@ def stickiness_check(Q: Profile, x1: float, x2: float, spec: ProblemSpec,
     if ref is None:
         ref = reference_profile(spec, Q.grid)
     penalty = 0.5 * mu * float(np.sum((q[sel] - ref.values[sel]) ** 2)) * h
-    inter = 0.25 * seminorm_K(Q, (x1, x2), (x1, x2), spec.kernel, tail) ** 2
+    inter = 0.25 * seminorm_K(Q, (x1, x2), (x1, x2), spec.kernel) ** 2
     W, _ = potential_eval_grad(spec.potential, q[sel])
     pot = float(np.sum(np.asarray(spec.modulation(x[sel])) * W)) * h
     total = viscous + penalty + inter + pot
@@ -231,8 +230,7 @@ class LSReport:
 def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
                            eta: float, I: Interval, mu: float = 0.0,
                            ref: Optional[Profile] = None,
-                           slack: float = 1e-6,
-                           tail: Optional[TailClosure] = None) -> LSReport:
+                           slack: float = 1e-6) -> LSReport:
     """Two-sided bound on  -eta d2 Q + L Q  over the interval I.
 
     The lower bound is min(inf_I(-|d2 Phi| + L Phi), inf_I f) and the upper
@@ -241,7 +239,7 @@ def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
     central differences; the O(h) noise budget lives in ``slack``.
     """
     grid = Q.grid
-    ws = workspace_for(spec.kernel, grid, tail)
+    ws = workspace_for(spec.kernel, grid)
     x = grid.x
     sel = (x >= I[0]) & (x <= I[1])
     sel[0] = sel[-1] = False
@@ -323,17 +321,16 @@ def glue_profile(Q: Profile, x0: float, zeta: float, beta: float) -> Profile:
 
 def gluing_energy_defect(Q: Profile, P: Profile, x0: float, beta: float,
                          T1: float, T2: float, spec: ProblemSpec,
-                         ref: Optional[Profile] = None,
-                         tail: Optional[TailClosure] = None) -> float:
+                         ref: Optional[Profile] = None) -> float:
     """| E_{(T1,T2)^2}(P) - E_{(T1,x0)^2}(Q) - E_{(x0,T2)^2}(P)
          + 2 [ref]^2_{K, (x0-beta,x0) x (x0,x0+beta)} |."""
     if ref is None:
         ref = reference_profile(spec, Q.grid)
     k = spec.kernel
-    e_full = renormalized_interaction(P, ref, spec, (T1, T2), (T1, T2), tail)
-    e_left = renormalized_interaction(Q, ref, spec, (T1, x0), (T1, x0), tail)
-    e_right = renormalized_interaction(P, ref, spec, (x0, T2), (x0, T2), tail)
-    cross = seminorm_K(ref, (x0 - beta, x0), (x0, x0 + beta), k, tail) ** 2
+    e_full = renormalized_interaction(P, ref, spec, (T1, T2), (T1, T2))
+    e_left = renormalized_interaction(Q, ref, spec, (T1, x0), (T1, x0))
+    e_right = renormalized_interaction(P, ref, spec, (x0, T2), (x0, T2))
+    cross = seminorm_K(ref, (x0 - beta, x0), (x0, x0 + beta), k) ** 2
     return abs(e_full - e_left - e_right + 2.0 * cross)
 
 
@@ -384,10 +381,9 @@ def fit_tail_decay(Q: Profile, side: str) -> TailFit:
 
 
 def raw_seminorm_window_growth(Q: Profile, spec: ProblemSpec,
-                               radii: Sequence[float],
-                               tail: Optional[TailClosure] = None) -> List[float]:
+                               radii: Sequence[float]) -> List[float]:
     """[Q]^2_{K, [-Rk, Rk]^2} for a growing family of sub-windows."""
-    return [bilinear_form(Q, Q, (-rk, rk), (-rk, rk), spec.kernel, tail)
+    return [bilinear_form(Q, Q, (-rk, rk), (-rk, rk), spec.kernel)
             for rk in radii]
 
 

@@ -11,8 +11,11 @@ is discretized by product midpoint quadrature: each node owns the cell
 singularity is dropped — its odd part cancels by the symmetric pairing of
 the +-m node pairs and the residual even part cancels against the midpoint
 bias of the neighboring cells (order >= 2-2s overall, measured by the
-refinement tests).  Exterior tails use the far-field constants and analytic
-kernel moments.
+refinement tests).  Outside the window the profile is its far-field
+constants, so the exterior enters only through the tail moments
+Wl/Wr = int K beyond each window edge.  The kernel fixes that closure:
+power-law kernels have closed-form moments; a tabulated kernel has none, and
+its tails are truncated to zero.
 
 All weights depend only on |i - j|, so operator application and every
 double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
@@ -37,7 +40,6 @@ __all__ = [
     "Grid",
     "Profile",
     "reference_profile",
-    "TailClosure",
     "Workspace",
     "workspace_for",
     "Interval",
@@ -124,22 +126,6 @@ def reference_profile(spec: ProblemSpec, grid: Grid) -> Profile:
                                  ref.zeta1, ref.zeta2)
 
 
-@dataclass(frozen=True)
-class TailClosure:
-    """How the exterior of the window is integrated.
-
-    ``analytic_power`` uses closed-form kernel moments (power kernels only);
-    ``truncated_zero`` drops the tails, which is the only option for
-    tabulated kernels.
-    """
-
-    method: str = "analytic_power"  # analytic_power | truncated_zero
-
-    def __post_init__(self):
-        if self.method not in ("analytic_power", "truncated_zero"):
-            raise ValueError(f"unknown tail closure {self.method!r}")
-
-
 # --------------------------------------------------------------------------
 # kernel cell masses and workspace
 # --------------------------------------------------------------------------
@@ -171,37 +157,32 @@ def _cell_masses(ker: KernelSpec, h: float, mmax: int) -> np.ndarray:
 
 
 def _tail_moment(ker: KernelSpec, T: np.ndarray) -> np.ndarray:
-    """int_T^inf K(t) dt for T > 0 (analytic closures only)."""
+    """int_T^inf K(t) dt for T > 0 (power and truncated power kernels)."""
     T = np.asarray(T, dtype=np.float64)
     if ker.form == "power":
         return ker.c * T ** (-2.0 * ker.s) / (2.0 * ker.s)
-    if ker.form == "truncated_power":
-        Tc = np.minimum(T, ker.r0)
-        out = np.zeros_like(T)
-        live = Tc < ker.r0
-        out[live] = _power_mass(ker.c, ker.s, Tc[live], np.full_like(Tc[live], ker.r0))
-        return out
-    raise ValueError("analytic tail closure is not available for tabulated kernels")
+    Tc = np.minimum(T, ker.r0)
+    out = np.zeros_like(T)
+    live = Tc < ker.r0
+    out[live] = _power_mass(ker.c, ker.s, Tc[live], np.full_like(Tc[live], ker.r0))
+    return out
 
 
 class Workspace:
-    """Precomputed Toeplitz weights for one (kernel, grid, tail) triple.
+    """Precomputed Toeplitz weights for one (kernel, grid) pair.
 
     ``w[m-1]`` is the kernel mass of the cell at node offset m; ``rho`` the
-    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
+    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior,
+    closed-form for power-law kernels and zero (with a warning) for a
+    tabulated kernel, which has no moments beyond its table;
     ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.
     ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT of length
     ``_L``, the next power of two >= 2n - 1 (16384 at n = 8001): outputs
     n - 1 .. 2n - 2 of the circular convolution then carry no aliased terms.
     """
 
-    def __init__(self, kernel: KernelSpec, grid: Grid, tail: TailClosure):
-        if tail.method == "analytic_power" and kernel.form == "tabulated":
-            raise ValueError("analytic tail closure requires a power-law kernel")
-        if tail.method == "truncated_zero" and kernel.form == "tabulated":
-            logging.getLogger("nlhet").warning(
-                "tabulated kernel: exterior tails are truncated to zero")
-        self.kernel, self.grid, self.tail = kernel, grid, tail
+    def __init__(self, kernel: KernelSpec, grid: Grid):
+        self.kernel, self.grid = kernel, grid
         n, h = grid.n, grid.h
         self.w = _cell_masses(kernel, h, n - 1)
         ker_full = np.concatenate([self.w[::-1], [0.0], self.w])
@@ -210,12 +191,14 @@ class Workspace:
         self._n = n
         self.rho = self.conv(np.ones(n))
         i = np.arange(n, dtype=np.float64)
-        if tail.method == "analytic_power":
-            self.Wl = _tail_moment(kernel, (i + 0.5) * h)
-            self.Wr = _tail_moment(kernel, (n - 1 - i + 0.5) * h)
-        else:
+        if kernel.form == "tabulated":
+            logging.getLogger("nlhet").warning(
+                "tabulated kernel: exterior tails are truncated to zero")
             self.Wl = np.zeros(n)
             self.Wr = np.zeros(n)
+        else:
+            self.Wl = _tail_moment(kernel, (i + 0.5) * h)
+            self.Wr = _tail_moment(kernel, (n - 1 - i + 0.5) * h)
         self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
@@ -241,16 +224,12 @@ def _kernel_key(ker: KernelSpec):
     return (ker.form, ker.s, ker.c, ker.r0)
 
 
-def workspace_for(kernel: KernelSpec, grid: Grid,
-                  tail: Optional[TailClosure] = None) -> Workspace:
-    """Cached workspace lookup; the cache is keyed by kernel/grid/tail data."""
-    if tail is None:
-        tail = (TailClosure("analytic_power") if kernel.form != "tabulated"
-                else TailClosure("truncated_zero"))
-    key = (_kernel_key(kernel), grid.R, grid.n, tail.method)
+def workspace_for(kernel: KernelSpec, grid: Grid) -> Workspace:
+    """Cached workspace lookup; the cache is keyed by kernel and grid data."""
+    key = (_kernel_key(kernel), grid.R, grid.n)
     ws = _WS_CACHE.get(key)
     if ws is None:
-        ws = Workspace(kernel, grid, tail)
+        ws = Workspace(kernel, grid)
         if len(_WS_CACHE) > 16:
             _WS_CACHE.clear()
         _WS_CACHE[key] = ws
@@ -292,14 +271,13 @@ def operator_field(ws: Workspace, q: np.ndarray, left_const: float,
     return out
 
 
-def apply_nonlocal(Q: Profile, spec: KernelSpec, tail: Optional[TailClosure] = None,
-                   i: Optional[int] = None):
+def apply_nonlocal(Q: Profile, spec: KernelSpec, i: Optional[int] = None):
     """L Q at node i (or the whole interior field when i is None).
 
     The index must be strictly interior: the two window-edge nodes see a
     lopsided quadrature and are rejected.
     """
-    ws = workspace_for(spec, Q.grid, tail)
+    ws = workspace_for(spec, Q.grid)
     field_vals = operator_field(ws, Q.values, Q.left_const, Q.right_const)
     if i is None:
         return field_vals[1:-1]
@@ -316,13 +294,13 @@ def second_difference(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def apply_full_operator(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
-                        ref: Profile, tail: Optional[TailClosure] = None) -> np.ndarray:
+                        ref: Profile) -> np.ndarray:
     """Field of -eta*d2 Q + mu (Q - ref) + L Q + a W'(Q) on interior nodes."""
     if Q.grid != ref.grid:
         raise ValueError("profile and reference must share a grid")
     if eta < 0 or mu < 0:
         raise ValueError("eta and mu must be >= 0")
-    ws = workspace_for(spec.kernel, Q.grid, tail)
+    ws = workspace_for(spec.kernel, Q.grid)
     return operator_field(ws, Q.values, Q.left_const, Q.right_const, spec,
                           eta=eta, mu=mu, ref=ref.values)[1:-1]
 
@@ -371,7 +349,7 @@ def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
 
 
 def bilinear_form(f: Profile, g: Profile, I: Interval, J: Interval,
-                  spec: KernelSpec, tail: Optional[TailClosure] = None) -> float:
+                  spec: KernelSpec) -> float:
     """B_{I,J}(f, g) = iint_{I x J} (f(x)-f(y))(g(x)-g(y)) K(x-y) dx dy.
 
     Symmetric under swapping (I, J) since K is even; bilinear in (f, g).
@@ -382,7 +360,7 @@ def bilinear_form(f: Profile, g: Profile, I: Interval, J: Interval,
     """
     if f.grid != g.grid:
         raise ValueError("profiles must share a grid")
-    ws = workspace_for(spec, f.grid, tail)
+    ws = workspace_for(spec, f.grid)
     h = f.grid.h
     mI, loI, hiI = _interval_mask(f.grid, I)
     mJ, loJ, hiJ = _interval_mask(f.grid, J)
@@ -406,8 +384,7 @@ def bilinear_form(f: Profile, g: Profile, I: Interval, J: Interval,
     return total
 
 
-def seminorm_K(f: Profile, X: Interval, Y: Interval, spec: KernelSpec,
-               tail: Optional[TailClosure] = None) -> float:
+def seminorm_K(f: Profile, X: Interval, Y: Interval, spec: KernelSpec) -> float:
     """Squared-difference seminorm [f]_{K, X x Y} (nonnegative square root)."""
-    val = bilinear_form(f, f, X, Y, spec, tail)
+    val = bilinear_form(f, f, X, Y, spec)
     return math.sqrt(max(val, 0.0))

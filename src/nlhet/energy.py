@@ -17,20 +17,16 @@ is exactly h times the discrete operator field on interior nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .discretize import (Interval, Profile, TailClosure, WHOLE_LINE,
-                         apply_full_operator, bilinear_form)
+from .discretize import Interval, Profile, WHOLE_LINE, bilinear_form
 from .model import ProblemSpec, potential_eval_grad
 
 __all__ = [
     "EnergyBreakdown",
     "renormalized_interaction",
     "total_energy",
-    "energy_gradient",
-    "interaction_floor_ok",
 ]
 
 _FAR_FIELD_TOL = 1e-9
@@ -48,13 +44,6 @@ class EnergyBreakdown:
         return self.viscous + self.penalty + self.potential + self.interaction
 
 
-def interaction_floor_ok(b: EnergyBreakdown, kappa: float, mu: float) -> bool:
-    """Sanity floor: the renormalized part may be negative but not below -kappa/mu^2."""
-    if mu <= 0:
-        return True
-    return b.interaction >= -kappa / mu ** 2
-
-
 def _check_far_fields(Q: Profile, ref: Profile) -> None:
     if (abs(Q.left_const - ref.left_const) > _FAR_FIELD_TOL
             or abs(Q.right_const - ref.right_const) > _FAR_FIELD_TOL):
@@ -63,8 +52,7 @@ def _check_far_fields(Q: Profile, ref: Profile) -> None:
 
 
 def renormalized_interaction(Q: Profile, ref: Profile, spec,
-                             I: Interval = WHOLE_LINE, J: Interval = WHOLE_LINE,
-                             tail: Optional[TailClosure] = None) -> float:
+                             I: Interval = WHOLE_LINE, J: Interval = WHOLE_LINE) -> float:
     """E_{I x J}(Q) = [Q]^2_{K,I x J} - [ref]^2_{K,I x J}, computed stably.
 
     Evaluated as [v]^2 + 2 B(v, ref) restricted to I x J, with v = Q - ref,
@@ -76,8 +64,8 @@ def renormalized_interaction(Q: Profile, ref: Profile, spec,
     _check_far_fields(Q, ref)
     v = Profile(Q.grid, Q.values - ref.values, 0.0, 0.0)
     kernel = spec.kernel if isinstance(spec, ProblemSpec) else spec
-    vv = bilinear_form(v, v, I, J, kernel, tail)
-    vr = bilinear_form(v, ref, I, J, kernel, tail)
+    vv = bilinear_form(v, v, I, J, kernel)
+    vr = bilinear_form(v, ref, I, J, kernel)
     return vv + 2.0 * vr
 
 
@@ -88,7 +76,7 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def total_energy(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
-                 ref: Profile, tail: Optional[TailClosure] = None) -> EnergyBreakdown:
+                 ref: Profile) -> EnergyBreakdown:
     """Breakdown of the perturbed functional at (eta, mu)."""
     if eta < 0 or mu < 0:
         raise ValueError("eta and mu must be >= 0")
@@ -101,16 +89,6 @@ def total_energy(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
     penalty = 0.5 * mu * float(np.sum((Q.values - ref.values) ** 2 * tw))
     W, _ = potential_eval_grad(spec.potential, Q.values)
     potential = float(np.sum(np.asarray(spec.modulation(Q.x)) * W * tw))
-    interaction = 0.25 * renormalized_interaction(Q, ref, spec, tail=tail)
+    interaction = 0.25 * renormalized_interaction(Q, ref, spec)
     return EnergyBreakdown(viscous, penalty, potential, interaction)
 
-
-def energy_gradient(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
-                    ref: Profile, tail: Optional[TailClosure] = None) -> np.ndarray:
-    """Gradient of the discrete total energy w.r.t. interior node values.
-
-    By the quadrature pairing this equals h * apply_full_operator; the
-    finite-difference oracle in the test suite checks the identity against
-    the independently assembled total_energy.
-    """
-    return Q.grid.h * apply_full_operator(Q, spec, eta, mu, ref, tail)

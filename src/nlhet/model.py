@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -320,27 +320,16 @@ def _quintic_smoothstep(t: np.ndarray) -> np.ndarray:
 class ReferenceProfile:
     """Fixed smooth ramp: zeta1 for x <= -1, zeta2 for x >= 1.
 
-    The default interior ramp is a quintic smoothstep, C^2 at the junctions,
-    with range strictly between the wells on (-1, 1).  The exterior constants
-    are returned bit-identically (no arithmetic is applied there).
+    The interior ramp is a quintic smoothstep, C^2 at the junctions, with
+    range strictly between the wells on (-1, 1).  The exterior constants are
+    returned bit-identically (no arithmetic is applied there).
     """
 
     zeta1: float
     zeta2: float
-    ramp: str = "quintic"
-    custom: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.ramp not in ("quintic", "custom"):
-            raise ValueError(f"unknown ramp {self.ramp!r}")
-        if self.ramp == "custom" and self.custom is None:
-            raise ValueError("custom ramp requires a callable")
 
     def derivative_bound(self) -> float:
-        if self.ramp == "quintic":
-            return abs(self.zeta2 - self.zeta1) * 1.875 / 2.0  # max S' = 15/8
-        xs = np.linspace(-1, 1, 4001)
-        return float(np.abs(np.gradient(reference_profile_eval(self, xs), xs)).max())
+        return abs(self.zeta2 - self.zeta1) * 1.875 / 2.0  # max S' = 15/8
 
 
 def reference_profile_eval(ref: ReferenceProfile, x) -> np.ndarray:
@@ -355,11 +344,8 @@ def reference_profile_eval(ref: ReferenceProfile, x) -> np.ndarray:
     out[left] = ref.zeta1
     out[right] = ref.zeta2
     if mid.any():
-        if ref.ramp == "quintic":
-            s = _quintic_smoothstep((x[mid] + 1.0) / 2.0)
-            out[mid] = ref.zeta1 + (ref.zeta2 - ref.zeta1) * s
-        else:
-            out[mid] = ref.custom(x[mid])
+        s = _quintic_smoothstep((x[mid] + 1.0) / 2.0)
+        out[mid] = ref.zeta1 + (ref.zeta2 - ref.zeta1) * s
     return float(out[0]) if scalar else out
 
 

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .discretize import Grid, Profile, TailClosure, workspace_for
+from .discretize import Grid, Profile, workspace_for
 from .model import ProblemSpec, potential_eval_grad
 
 __all__ = [
@@ -41,10 +41,14 @@ __all__ = [
     "compute_rhs_constant",
     "solve_barrier",
     "build_envelopes",
+    "barrier_pair",
     "band_check",
     "faithful_barriers",
     "project_admissible",
 ]
+
+
+BAND_MARGIN = 8.0  # collar deviation target of the calibration = r / BAND_MARGIN
 
 
 class BarrierSolveError(RuntimeError):
@@ -72,7 +76,6 @@ class ObstacleConfig:
     b2: float
     tau: float = 0.05
     r: Optional[float] = None
-    band_margin: float = 8.0   # collar deviation target = r / band_margin
 
     def __post_init__(self):
         if self.b1 > -1.0 or self.b2 < 1.0:
@@ -114,8 +117,7 @@ def _band_indices(grid: Grid, cfg: ObstacleConfig) -> np.ndarray:
 
 
 def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
-                  eta: float, sign: int,
-                  tail: Optional[TailClosure] = None) -> Profile:
+                  eta: float, sign: int) -> Profile:
     """Solve the mixed local/nonlocal Dirichlet problem for one barrier.
 
     Assembles the dense band system with the same quadrature weights as the
@@ -133,7 +135,7 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     C0 = compute_rhs_constant(spec)
     gl = spec.potential.zeta1 + sign * r
     gr = spec.potential.zeta2 + sign * r
-    ws = workspace_for(spec.kernel, grid, tail)
+    ws = workspace_for(spec.kernel, grid)
     x, h = grid.x, grid.h
     band = _band_indices(grid, cfg)
     if band.size == 0:
@@ -237,7 +239,7 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
 
     ``phi``/``psi`` are raw barrier solutions; their boundary data encode the
     wells and the offset r.  Construction: calibrate the deviations so the
-    collar bands hold with target r/band_margin, mollify across the interior
+    collar bands hold with target r/BAND_MARGIN, mollify across the interior
     kinks (subtracting/adding an exact margin so the collar-side inequality
     against the barrier is preserved), and lift/sink the envelopes between
     b1 and b2 clear of the well sandwich.  Any clause that fails afterwards
@@ -262,7 +264,7 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
     collars = left | right
     dev = max(float(np.abs(phi.values - datum_p)[collars].max()),
               float(np.abs(psi.values - datum_m)[collars].max()), 1e-300)
-    target = r / cfg.band_margin
+    target = r / BAND_MARGIN
     beta = min(1.0, target / dev)
     phic = Profile(grid, datum_p + beta * (phi.values - datum_p),
                    phi.left_const, phi.right_const)
@@ -292,6 +294,14 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
     pair = ObstaclePair(phic, psic, Phi, Psi, cfg, r, zeta1, zeta2, beta, eta)
     _verify_clauses(pair)
     return pair
+
+
+def barrier_pair(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
+                 eta: float) -> ObstaclePair:
+    """Upper and lower barriers at viscosity eta and their envelope pair."""
+    phi = solve_barrier(spec, cfg, grid, eta, +1)
+    psi = solve_barrier(spec, cfg, grid, eta, -1)
+    return build_envelopes(phi, psi, cfg, eta)
 
 
 def _verify_clauses(pair: ObstaclePair, tol: float = 1e-9) -> None:

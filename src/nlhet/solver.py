@@ -29,12 +29,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .discretize import (Grid, Profile, TailClosure, operator_field,
-                         reference_profile, workspace_for)
+from .discretize import (Grid, Profile, operator_field, reference_profile,
+                         workspace_for)
 from .energy import EnergyBreakdown
 from .model import ProblemSpec, potential_eval_grad, verify_model
-from .obstacles import (ObstacleConfig, ObstaclePair, build_envelopes,
-                        faithful_barriers, project_admissible, solve_barrier)
+from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
+                        faithful_barriers)
 
 __all__ = [
     "SolverConfig",
@@ -185,10 +185,10 @@ class _Stage:
 
     def __init__(self, spec: ProblemSpec, grid: Grid, ref: Profile,
                  eta: float, mu: float, pair: Optional[ObstaclePair],
-                 cfg: Optional[ObstacleConfig], tail: Optional[TailClosure]):
+                 cfg: Optional[ObstacleConfig]):
         self.spec, self.grid, self.ref = spec, grid, ref
         self.eta, self.mu = eta, mu
-        self.ws = workspace_for(spec.kernel, grid, tail)
+        self.ws = workspace_for(spec.kernel, grid)
         n, h = grid.n, grid.h
         self.h = h
         self.a = np.asarray(spec.modulation(grid.x))
@@ -206,7 +206,7 @@ class _Stage:
         pot = spec.potential
         self.lob = np.full(n, pot.well_lo)
         self.upb = np.full(n, pot.well_hi)
-        self.pair = pair
+        self.pair, self.cfg = pair, cfg
         if pair is not None:
             x = grid.x
             region = (x <= cfg.b1) | (x >= cfg.b2)
@@ -303,12 +303,14 @@ def _next_step(s: np.ndarray, y: np.ndarray, alpha: float) -> float:
 
 
 def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
-                    trace: List[Tuple], iter_offset: int) -> Tuple[np.ndarray, Tuple, int, float]:
+                    trace: List[Tuple]) -> Tuple[np.ndarray, Tuple, int, float]:
     """Projected-gradient descent from q0; returns (q, energy pieces, iterations,
     stationarity).  Each trial point is evaluated once, and the accepted
     trial's convolution and W' give the next iterate's gradient and, with
-    the last one, the next Barzilai-Borwein step."""
+    the last one, the next Barzilai-Borwein step.  Trace rows are numbered
+    on from the rows ``trace`` already holds."""
     cfg = solver_cfg
+    iter_offset = len(trace)
     gtol = cfg.resolve_grad_tol(stage.grid.n)
     q = stage.project(q0.copy())
     q[0], q[-1] = q0[0], q0[-1]
@@ -350,13 +352,26 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     return q, pieces, it, rn
 
 
+def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
+               trace: List[Tuple]) -> Tuple[np.ndarray, Tuple, List, StageRecord]:
+    """Minimize one stage from q0, report contact with the stage's obstacle
+    pair and check the barrier comparison; returns (q, energy pieces,
+    contact, record)."""
+    q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace)
+    contact = _contact_nodes(q, stage.pair, stage.grid)
+    if stage.pair is not None:
+        _assert_barrier_comparison(q, stage.pair, stage.cfg)
+    record = StageRecord(stage.mu, stage.eta, it, sum(pieces), rn, len(contact),
+                         stage.trials)
+    return q, pieces, contact, record
+
+
 def minimize_constrained(Q0: Profile, spec: ProblemSpec,
                          pair: Optional[ObstaclePair],
                          cfg: Optional[ObstacleConfig],
                          eta: float, mu: float,
                          solver_cfg: Optional[SolverConfig] = None,
-                         ref: Optional[Profile] = None,
-                         tail: Optional[TailClosure] = None) -> SolveResult:
+                         ref: Optional[Profile] = None) -> SolveResult:
     """Projected-gradient minimization of the (eta, mu) functional.
 
     The iterate is clamped into the well sandwich and, when an obstacle pair
@@ -365,27 +380,19 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
     max_iters.  After convergence the iterate is verified to stay below the
     faithful upper barrier (and above the lower one) between b1 and b2.
     """
-    solver_cfg = solver_cfg or SolverConfig()
     grid = Q0.grid
     if ref is None:
         ref = reference_profile(spec, grid)
-    stage = _Stage(spec, grid, ref, eta, mu, pair, cfg, tail)
+    stage = _Stage(spec, grid, ref, eta, mu, pair, cfg)
     trace: List[Tuple] = []
-    q0 = project_admissible(Q0, pair, cfg, "gamma_only").values if pair is not None \
-        else Q0.values
-    q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace, 0)
-    prof = Profile(grid, q, Q0.left_const, Q0.right_const)
-    bd = EnergyBreakdown(*pieces)
-    contact = _contact_nodes(q, pair, grid)
-    if pair is not None:
-        _assert_barrier_comparison(prof, pair, cfg)
-    rmax, _ = residual_EL(prof, spec, tail) if eta == 0 and mu == 0 else \
-        (_stage_residual_max(stage, q), None)
-    return SolveResult(profile=prof, breakdown=bd, residual_max=rmax,
-                       contact=contact, trace=trace, pair=pair, stages=[
-                           StageRecord(mu, eta, it, bd.total, rn, len(contact),
-                                       stage.trials)],
-                       stationarity=rn, iterations=it)
+    q, pieces, contact, record = _run_stage(stage, Q0.values,
+                                            solver_cfg or SolverConfig(), trace)
+    return SolveResult(profile=Profile(grid, q, Q0.left_const, Q0.right_const),
+                       breakdown=EnergyBreakdown(*pieces),
+                       residual_max=_stage_residual_max(stage, q),
+                       contact=contact, trace=trace, pair=pair, stages=[record],
+                       stationarity=record.stationarity,
+                       iterations=record.iterations)
 
 
 def _stage_residual_max(stage: _Stage, q: np.ndarray) -> float:
@@ -393,13 +400,13 @@ def _stage_residual_max(stage: _Stage, q: np.ndarray) -> float:
     return float(np.abs(g[2:-2]).max())
 
 
-def _assert_barrier_comparison(Q: Profile, pair: ObstaclePair,
+def _assert_barrier_comparison(q: np.ndarray, pair: ObstaclePair,
                                cfg: ObstacleConfig, tol: float = 1e-6) -> None:
     phi_f, psi_f = faithful_barriers(pair)
-    x = Q.x
+    x = phi_f.x
     mid = (x > cfg.b1) & (x < cfg.b2)
-    over = float(np.max(Q.values[mid] - phi_f.values[mid]))
-    under = float(np.max(psi_f.values[mid] - Q.values[mid]))
+    over = float(np.max(q[mid] - phi_f.values[mid]))
+    under = float(np.max(psi_f.values[mid] - q[mid]))
     if over > tol or under > tol:
         raise SolverError(
             f"minimizer escapes the faithful barrier corridor between b1 and "
@@ -434,7 +441,6 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                      obstacle_cfg: ObstacleConfig,
                      schedule: Optional[ContinuationSchedule] = None,
                      solver_cfg: Optional[SolverConfig] = None,
-                     tail: Optional[TailClosure] = None,
                      limit_tol: Optional[float] = None,
                      stage_callback=None,
                      resume_state: Optional[Tuple[int, Profile]] = None) -> SolveResult:
@@ -468,23 +474,17 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
 
     def run_stage(mu, eta, pair):
         nonlocal Q
-        stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg, tail)
-        q, pieces, it, rn = _minimize_stage(stage, Q.values, solver_cfg, trace, len(trace))
+        stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg)
+        q, _, contact, record = _run_stage(stage, Q.values, solver_cfg, trace)
         Q = Profile(grid, q, Q.left_const, Q.right_const)
-        contact = _contact_nodes(q, pair, grid)
-        if pair is not None:
-            _assert_barrier_comparison(Q, pair, obstacle_cfg)
-        stages.append(StageRecord(mu, eta, it, sum(pieces), rn, len(contact),
-                                  stage.trials))
+        stages.append(record)
         return contact
 
     pairs = {}  # the barrier problem does not involve mu: one pair per eta
 
-    def barrier_pair(eta):
+    def pair_at(eta):
         if eta not in pairs:
-            phi = solve_barrier(spec, obstacle_cfg, grid, eta, +1, tail)
-            psi = solve_barrier(spec, obstacle_cfg, grid, eta, -1, tail)
-            pairs[eta] = build_envelopes(phi, psi, obstacle_cfg, eta)
+            pairs[eta] = barrier_pair(spec, obstacle_cfg, grid, eta)
         return pairs[eta]
 
     contact: List[Tuple[int, float, str]] = []
@@ -493,12 +493,12 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
             stage_index += 1
             if stage_index <= skip_until:
                 continue
-            last_pair = barrier_pair(eta)
+            last_pair = pair_at(eta)
             contact = run_stage(mu, eta, last_pair)
             if stage_callback is not None:
                 stage_callback(stage_index, mu, eta, _unflip(Q, flipped))
     if last_pair is None:  # no barrier stage ran, e.g. a resume past them all
-        last_pair = barrier_pair(0.0)
+        last_pair = pair_at(0.0)
     if schedule.final_polish():
         stage_index += 1
         if stage_index > skip_until:
@@ -507,7 +507,7 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
             if stage_callback is not None:
                 stage_callback(stage_index, 0.0, 0.0, _unflip(Q, flipped))
 
-    rmax, _ = residual_EL(Q, spec, tail)
+    rmax, _ = residual_EL(Q, spec)
     tol = limit_tol if limit_tol is not None else default_limit_tol(grid, spec.s)
     lim = _limit_check(Q, pot.zeta1, pot.zeta2, tol)
     if not lim["pass"]:
@@ -518,7 +518,7 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
             f"far-field limit check failed: {lim}", samples=bad)
     mono = bool(np.all(np.diff(Q.values) >= -1e-3 * abs(pot.zeta2 - pot.zeta1)))
 
-    stage0 = _Stage(spec, grid, ref, 0.0, 0.0, None, None, tail)
+    stage0 = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
     bd = EnergyBreakdown(*stage0.energy_pieces(Q.values))
     swap = {"upper": "lower", "lower": "upper"}
     result = SolveResult(profile=_unflip(Q, flipped), breakdown=bd,
@@ -539,11 +539,10 @@ def _unflip(Q: Profile, flipped: bool) -> Profile:
     return Profile(Q.grid, -Q.values, -Q.left_const, -Q.right_const)
 
 
-def residual_EL(Q: Profile, spec: ProblemSpec,
-                tail: Optional[TailClosure] = None) -> Tuple[float, np.ndarray]:
+def residual_EL(Q: Profile, spec: ProblemSpec) -> Tuple[float, np.ndarray]:
     """Residual of  L Q + a W'(Q)  on interior nodes, excluding the two
     outermost interior nodes per side (lopsided quadrature there)."""
-    ws = workspace_for(spec.kernel, Q.grid, tail)
+    ws = workspace_for(spec.kernel, Q.grid)
     inner = operator_field(ws, Q.values, Q.left_const, Q.right_const, spec)[2:-2]
     return float(np.abs(inner).max()), inner
 
@@ -551,8 +550,7 @@ def residual_EL(Q: Profile, spec: ProblemSpec,
 def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
                           eta: float, mu: float,
                           ref: Optional[Profile] = None,
-                          kappa_cap: float = 1e6,
-                          tail: Optional[TailClosure] = None) -> dict:
+                          kappa_cap: float = 1e6) -> dict:
     """Report the five a-priori quantities and the implied constants.
 
     Each bound has the shape  quantity <= kappa * scaling(eta, mu); the
@@ -570,10 +568,10 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     vprof = Profile(grid, v, 0.0, 0.0)
     h1 = math.sqrt(float(np.sum(np.diff(v) ** 2)) / h)
     vk = math.sqrt(max(bilinear_form(vprof, vprof, WHOLE_LINE, WHOLE_LINE,
-                                     spec.kernel, tail), 0.0))
+                                     spec.kernel), 0.0))
     vinf = float(np.abs(v).max())
     vl2 = math.sqrt(float(np.sum(v * v)) * h)
-    e2 = renormalized_interaction(Q, ref, spec, tail=tail)
+    e2 = renormalized_interaction(Q, ref, spec)
     pot = spec.potential
     zl, zh = pot.well_lo, pot.well_hi
     sandwich_ok = bool(np.all(Q.values >= zl - 1e-12) and np.all(Q.values <= zh + 1e-12))

@@ -16,10 +16,10 @@ from nlhet.diagnostics import (find_clean_intervals, fit_tail_decay,
                                lewy_stampacchia_check,
                                raw_seminorm_window_growth, log_growth_slope,
                                stickiness_check)
-from nlhet.discretize import Grid, Profile
-from nlhet.energy import energy_gradient, renormalized_interaction, total_energy
+from nlhet.discretize import Grid, Profile, apply_full_operator
+from nlhet.energy import renormalized_interaction, total_energy
 from nlhet.model import verify_model
-from nlhet.obstacles import ObstacleConfig, build_envelopes, solve_barrier
+from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, SolverConfig,
                           continuation_run, minimize_constrained)
 
@@ -111,9 +111,7 @@ def test_criterion_5_lewy_stampacchia(anchor_run):
     all_pass = True
     details = []
     for eta in (1e-1, 1e-2):
-        phi = solve_barrier(spec, cfg, grid, eta, +1)
-        psi = solve_barrier(spec, cfg, grid, eta, -1)
-        pair = build_envelopes(phi, psi, cfg, eta)
+        pair = barrier_pair(spec, cfg, grid, eta)
         res = minimize_constrained(ref, spec, pair, cfg, eta, 0.05)
         for I in ((cfg.b1, cfg.b2), (-10.0, 10.0), (cfg.b1 - 1.0, cfg.b1 + 1.0),
                   (0.0, 20.0)):
@@ -204,7 +202,7 @@ def test_criterion_8_gradient_and_monotonicity(anchor_run, modulated_run,
     ref = reference_on(spec, grid)
     Q = anchor_run["result"].profile
     eta, mu = 0.01, 0.05
-    grad = energy_gradient(Q, spec, eta, mu, ref)
+    grad = grid.h * apply_full_operator(Q, spec, eta, mu, ref)
     rng = np.random.default_rng(77)
     eps = 1e-6
     worst = 0.0

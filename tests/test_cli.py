@@ -10,7 +10,7 @@ import pytest
 
 from nlhet.cli import (_layer_match, main, read_profile_csv,
                        write_obstacles_csv, write_profile_csv,
-                       write_trace_csv)
+                       write_tail_csv, write_trace_csv)
 from nlhet.discretize import Grid, Profile
 from nlhet.obstacles import ObstacleConfig, ObstaclePair
 
@@ -271,6 +271,20 @@ class TestCsvWriters:
         rows = [("%d" % t[0], *t[1:]) for t in trace]
         assert path.read_text() == _per_value(
             "iter,viscous,penalty,potential,interaction,total,grad_norm", rows)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tail_bytes(self, columns, tmp_path, side):
+        # far fields 0: the column's exact zeros are zero deviations, whose
+        # logarithm is written as -inf
+        grid, (q, _, _, _) = columns
+        path = tmp_path / "tail.csv"
+        write_tail_csv(str(path), Profile(grid, q, 0.0, 0.0), side)
+        x = grid.x
+        sel = x >= grid.R / 2 if side == "right" else x <= -grid.R / 2
+        rows = [(float(xx), math.log(abs(v)) if v != 0 else -math.inf)
+                for xx, v in zip(x[sel], q[sel])]
+        assert any(r[1] == -math.inf for r in rows)
+        assert path.read_text() == _per_value("x,log_abs_dev", rows)
 
 
 class TestLayerMatch:

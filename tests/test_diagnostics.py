@@ -9,7 +9,7 @@ from nlhet.diagnostics import (DegenerateFitError, PreconditionError,
                                holder_estimate, is_clean_point,
                                lewy_stampacchia_check, stickiness_check)
 from nlhet.discretize import Grid, Profile
-from nlhet.obstacles import ObstacleConfig, build_envelopes, solve_barrier
+from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import minimize_constrained
 
 from conftest import homogeneous_spec, layer, reference_on
@@ -137,9 +137,7 @@ def constrained():
     grid = Grid(R=60.0, n=2401)
     cfg = ObstacleConfig(b1=-4.0, b2=4.0)
     eta = 1e-2
-    phi = solve_barrier(spec, cfg, grid, eta, +1)
-    psi = solve_barrier(spec, cfg, grid, eta, -1)
-    pair = build_envelopes(phi, psi, cfg, eta)
+    pair = barrier_pair(spec, cfg, grid, eta)
     ref = reference_on(spec, grid)
     res = minimize_constrained(ref, spec, pair, cfg, eta, 0.05)
     return spec, grid, cfg, pair, ref, res, eta

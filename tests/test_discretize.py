@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhet.discretize import (Grid, Profile, TailClosure, WHOLE_LINE,
+from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
                               apply_full_operator, apply_nonlocal,
                               bilinear_form, reference_profile, seminorm_K,
                               workspace_for)
@@ -81,20 +81,20 @@ class TestApplyNonlocal:
     def test_annihilates_constants(self):
         g = Grid(R=20.0, n=801)
         p = Profile.from_function(g, lambda x: np.full_like(x, 3.7))
-        vals = [apply_nonlocal(p, KER, None, i) for i in (1, 100, 400, 799)]
+        vals = [apply_nonlocal(p, KER, i) for i in (1, 100, 400, 799)]
         assert np.max(np.abs(vals)) < 1e-10
 
     def test_layer_identity_at_one(self):
         g = Grid(R=400.0, n=40001)
         p = Profile.from_function(g, layer)
         i1 = int(round((1 + g.R) / g.h))
-        assert apply_nonlocal(p, KER, None, i1) == pytest.approx(1.0, abs=2e-3)
+        assert apply_nonlocal(p, KER, i1) == pytest.approx(1.0, abs=2e-3)
 
     def test_layer_identity_at_zero(self):
         g = Grid(R=400.0, n=40001)
         p = Profile.from_function(g, layer)
         i0 = (g.n - 1) // 2
-        assert apply_nonlocal(p, KER, None, i0) == pytest.approx(0.0, abs=2e-3)
+        assert apply_nonlocal(p, KER, i0) == pytest.approx(0.0, abs=2e-3)
 
     def test_matches_dense_oracle(self):
         g = Grid(R=400.0, n=40001)
@@ -103,29 +103,37 @@ class TestApplyNonlocal:
         oracle = dense_nonlocal(layer, 1.0, 0.5, 1 / math.pi, 0.0, TWO_PI,
                                 dt=g.h / 10)
         assert oracle == pytest.approx(1.0, abs=2e-4)
-        assert apply_nonlocal(p, KER, None, i1) == pytest.approx(oracle, abs=2e-3)
+        assert apply_nonlocal(p, KER, i1) == pytest.approx(oracle, abs=2e-3)
 
     def test_boundary_index_rejected(self):
         g = Grid(R=10.0, n=101)
         p = Profile.from_function(g, layer)
         with pytest.raises(ValueError):
-            apply_nonlocal(p, KER, None, 0)
+            apply_nonlocal(p, KER, 0)
         with pytest.raises(ValueError):
-            apply_nonlocal(p, KER, None, 100)
+            apply_nonlocal(p, KER, 100)
 
-    def test_tabulated_with_analytic_tail_rejected(self):
+    def test_tabulated_with_analytic_tail_rejected(self, caplog):
+        # a table has no closed-form tail moments: its workspace truncates
+        # the exterior to zero and says so; a power kernel keeps its moments
         r = np.geomspace(1e-4, 50, 400)
         ker = KernelSpec(s=0.5, form="tabulated", table_r=r,
                          table_K=(1 / math.pi) / r ** 2,
                          theta0=0.9 / math.pi, Theta0=1.1 / math.pi)
         g = Grid(R=10.0, n=101)
-        p = Profile.from_function(g, layer)
-        with pytest.raises(ValueError):
-            apply_nonlocal(p, ker, TailClosure("analytic_power"), 50)
+        with caplog.at_level("WARNING", logger="nlhet"):
+            ws = Workspace(ker, g)
+        assert not ws.Wl.any() and not ws.Wr.any()
+        assert "exterior tails are truncated to zero" in caplog.text
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="nlhet"):
+            ws = Workspace(KER, g)
+        assert np.all(ws.Wl > 0) and np.all(ws.Wr > 0)
+        assert "truncated" not in caplog.text
 
     def test_tabulated_kernel_tracks_power_kernel(self):
         # a dense table of the power density reproduces the power-kernel
-        # operator away from the (zeroed) tails
+        # operator once the power kernel's tail terms are taken out again
         g = Grid(R=20.0, n=1601)
         r = np.geomspace(g.h / 4, 80, 3000)
         tab = KernelSpec(s=0.5, form="tabulated", table_r=r,
@@ -133,8 +141,11 @@ class TestApplyNonlocal:
                          theta0=0.5 / math.pi, Theta0=1.5 / math.pi)
         p = Profile.from_function(g, layer)
         i1 = int(round((1 + g.R) / g.h))
-        v_tab = apply_nonlocal(p, tab, TailClosure("truncated_zero"), i1)
-        v_pow = apply_nonlocal(p, KER, TailClosure("truncated_zero"), i1)
+        v_tab = apply_nonlocal(p, tab, i1)
+        ws = workspace_for(KER, g)
+        q = p.values[i1]
+        v_pow = (apply_nonlocal(p, KER, i1) - (q - p.left_const) * ws.Wl[i1]
+                 - (q - p.right_const) * ws.Wr[i1])
         assert v_tab == pytest.approx(v_pow, rel=2e-2)
 
     def test_decay_invariant_toward_edges(self):
@@ -143,7 +154,7 @@ class TestApplyNonlocal:
         g = Grid(R=200.0, n=8001)
         spec = homogeneous_spec()
         p = reference_on(spec, g)
-        ws_field = [apply_nonlocal(p, KER, None, i) for i in
+        ws_field = [apply_nonlocal(p, KER, i) for i in
                     range(int(0.5 * g.n) + int(0.25 * g.n), g.n - 5)]
         xs = g.x[int(0.5 * g.n) + int(0.25 * g.n):g.n - 5]
         slope = np.polyfit(np.log(xs), np.log(np.abs(ws_field)), 1)[0]
@@ -159,7 +170,7 @@ class TestApplyNonlocal:
             g = Grid(R=R, n=n)
             p = Profile.from_function(g, layer)
             i1 = int(round((1 + R) / g.h))
-            errs.append(abs(apply_nonlocal(p, ker, None, i1) - ref_val))
+            errs.append(abs(apply_nonlocal(p, ker, i1) - ref_val))
         orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert min(orders) >= 1.0
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nlhet.discretize import Grid, Profile, WHOLE_LINE, apply_full_operator, apply_nonlocal
-from nlhet.energy import (EnergyBreakdown, energy_gradient, interaction_floor_ok,
-                          renormalized_interaction, total_energy)
+from nlhet.energy import renormalized_interaction, total_energy
+from nlhet.obstacles import ObstacleConfig, barrier_pair
+from nlhet.solver import _Stage, minimize_constrained, verify_apriori_bounds
 
 from conftest import homogeneous_spec, layer, reference_on
 from oracles import trapz
@@ -102,25 +103,35 @@ class TestTotalEnergy:
                  + spec.modulation.a_upper * trapz(W, grid.h))
         assert bd.total <= bound + 1e-9
 
-    def test_floor_helper(self):
-        bd = EnergyBreakdown(0.0, 0.0, 0.0, -5.0)
-        assert interaction_floor_ok(bd, kappa=1.0, mu=0.1)       # floor -100
-        assert not interaction_floor_ok(bd, kappa=1.0, mu=1.0)   # floor -1
+    def test_floor_helper(self, setup):
+        # the renormalized interaction may be negative but not below
+        # -kappa/mu^2: E_R2 = -46.5 at mu = 0.05 implies kappa = 0.116, so a
+        # cap of 0.05 flags it and the default cap does not
+        spec, grid, ref = setup
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
+        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
+        rep = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref)
+        e2 = rep["bounds"]["E_R2"]
+        assert e2["value"] < 0 and e2["implied_kappa"] > 0.05
+        assert "E_R2" not in rep["flagged"]
+        low = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref, kappa_cap=0.05)
+        assert "E_R2" in low["flagged"]
 
 
 class TestEnergyGradient:
     def test_matches_operator_identically(self, setup):
         spec, grid, ref = setup
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
-        g1 = energy_gradient(Q, spec, 0.3, 0.2, ref)
+        g1 = _Stage(spec, grid, ref, 0.3, 0.2, None, None).gradient(Q.values)[1:-1]
         g2 = grid.h * apply_full_operator(Q, spec, 0.3, 0.2, ref)
-        assert np.max(np.abs(g1 - g2)) <= 1e-10
+        assert np.array_equal(g1, g2)
 
     def test_finite_difference_oracle(self, setup):
         spec, grid, ref = setup
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
         eta, mu = 0.05, 0.02
-        grad = energy_gradient(Q, spec, eta, mu, ref)
+        grad = grid.h * apply_full_operator(Q, spec, eta, mu, ref)
         rng = np.random.default_rng(42)
         eps = 1e-6
         for idx in rng.integers(1, grid.n - 1, 50):
@@ -135,7 +146,7 @@ class TestEnergyGradient:
     def test_zero_at_well_equilibrium(self, setup):
         spec, grid, _ = setup
         p = Profile.from_function(grid, lambda x: np.zeros_like(x))
-        g = energy_gradient(p, spec, 0.5, 0.0, p)
+        g = grid.h * apply_full_operator(p, spec, 0.5, 0.0, p)
         assert np.abs(g).max() < 1e-12
 
     def test_interaction_gradient_is_operator_on_reference(self, setup):
@@ -150,5 +161,5 @@ class TestEnergyGradient:
             Qm.values[idx] -= eps
             fd = (renormalized_interaction(Qp, ref, spec)
                   - renormalized_interaction(Qm, ref, spec)) / (8 * eps)
-            Lref = apply_nonlocal(ref, spec.kernel, None, int(idx))
+            Lref = apply_nonlocal(ref, spec.kernel, int(idx))
             assert fd == pytest.approx(grid.h * Lref, abs=1e-6 * (1 + abs(Lref)))

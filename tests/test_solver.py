@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile
+from nlhet.discretize import Grid, Profile, apply_full_operator
 from nlhet.energy import total_energy
 from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
-from nlhet.obstacles import ObstacleConfig, build_envelopes, solve_barrier
-from nlhet import solver
+from nlhet import obstacles, solver
+from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
                           SolverConfig, SolverError, StagnationError, _Stage,
                           continuation_run, minimize_constrained, residual_EL,
@@ -52,16 +52,10 @@ def small_setup():
     return spec, grid, cfg
 
 
-def _pair_at(spec, cfg, grid, eta):
-    phi = solve_barrier(spec, cfg, grid, eta, +1)
-    psi = solve_barrier(spec, cfg, grid, eta, -1)
-    return build_envelopes(phi, psi, cfg, eta)
-
-
 class TestMinimizeConstrained:
     def test_converges_with_monotone_trace(self, small_setup):
         spec, grid, cfg = small_setup
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
         totals = [row[5] for row in res.trace]
@@ -82,7 +76,7 @@ class TestMinimizeConstrained:
 
     def test_contact_free_with_defaults(self, small_setup):
         spec, grid, cfg = small_setup
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
         assert res.contact == []
@@ -91,7 +85,7 @@ class TestMinimizeConstrained:
         # the constrained minimizer also lies inside [Psi, Phi] strictly
         # between b1 and b2 even though only the exterior is clamped
         spec, grid, cfg = small_setup
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
         x = grid.x
@@ -139,13 +133,12 @@ class TestMinimizeConstrained:
         # nodes keep the Euler-Lagrange residual at the stationarity scale
         spec, grid, cfg = small_setup
         tight = ObstacleConfig(b1=-4.0, b2=4.0, r=0.1)
-        pair = _pair_at(spec, tight, grid, 1e-2)
+        pair = barrier_pair(spec, tight, grid, 1e-2)
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, tight, 1e-2, 0.05)
         assert res.contact, "tight corridor should produce contact"
-        from nlhet.energy import energy_gradient
         g = np.zeros(grid.n)
-        g[1:-1] = energy_gradient(res.profile, spec, 1e-2, 0.05, ref)
+        g[1:-1] = grid.h * apply_full_operator(res.profile, spec, 1e-2, 0.05, ref)
         gtol = SolverConfig().resolve_grad_tol(grid.n)
         q = res.profile.values
         upper = {i for i, _, w in res.contact if w == "upper"}
@@ -167,7 +160,7 @@ class TestStepRule:
         # the stage minimizer at the default grad_tol lies within criterion
         # 11's 2 grad_tol / h of the same stage solved 100 times tighter
         spec, grid, cfg = small_setup
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         gtol = SolverConfig().resolve_grad_tol(grid.n)
         loose = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
@@ -216,7 +209,7 @@ class TestFusedEvaluation:
         ref = reference_on(spec, grid)
         bump = np.exp(-grid.x ** 2 / 8.0) * np.sin(grid.x)
         q = np.clip(ref.values + bump, 0.0, TWO_PI)
-        stage = _Stage(spec, grid, ref, 1e-2, 0.05, None, None, None)
+        stage = _Stage(spec, grid, ref, 1e-2, 0.05, None, None)
         pieces, g = stage.evaluate(q)
         assert pieces == stage.energy_pieces(q)
         g_ref = stage.gradient(q)
@@ -271,19 +264,44 @@ class TestBarrierCache:
         cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
         sched = ContinuationSchedule(eta_seq=(1e-1, 1e-2, 0.0),
                                      mu_seq=(1e-1, 2e-2, 0.0))
-        real = solver.solve_barrier
+        real = obstacles.solve_barrier
         keys = []
 
-        def counting(spec, cfg, grid, eta, sign, tail=None):
+        def counting(spec, cfg, grid, eta, sign):
             keys.append((eta, sign))
-            return real(spec, cfg, grid, eta, sign, tail)
+            return real(spec, cfg, grid, eta, sign)
 
-        monkeypatch.setattr(solver, "solve_barrier", counting)
+        monkeypatch.setattr(obstacles, "solve_barrier", counting)
         res = continuation_run(spec, grid, cfg, sched, SolverConfig())
         assert sorted(keys) == sorted((eta, sign) for eta in sched.etas()
                                       for sign in (+1, -1))
         assert len(res.stages) == 7
         assert res.pair.eta == 0.0
+
+
+class TestStageRunner:
+    def test_continuation_stage_matches_minimize_constrained(self):
+        # both entry points run a stage through the same code: stage 0 of a
+        # continuation equals a single constrained minimization from the
+        # same start, against the same barrier pair, at the same (eta, mu)
+        spec = homogeneous_spec()
+        grid = Grid(R=40.0, n=401)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        sched = ContinuationSchedule(eta_seq=(1e-1, 0.0), mu_seq=(1e-1,))
+        seen = {}
+
+        def capture(idx, mu, eta, Q):
+            seen[idx] = Q
+
+        cont = continuation_run(spec, grid, cfg, sched, SolverConfig(),
+                                stage_callback=capture)
+        assert len(cont.stages) == 2
+        ref = reference_on(spec, grid)
+        single = minimize_constrained(ref, spec, barrier_pair(spec, cfg, grid, 1e-1),
+                                      cfg, 1e-1, 1e-1)
+        assert np.array_equal(seen[0].values, single.profile.values)
+        assert cont.stages[0] == single.stages[0]
+        assert cont.trace[:len(single.trace)] == single.trace
 
 
 class TestContinuation:
@@ -373,7 +391,7 @@ class TestTranslationAndBounds:
         spec = homogeneous_spec()
         grid = Grid(R=60.0, n=2401)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
         rep = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref)
@@ -388,7 +406,7 @@ class TestTranslationAndBounds:
         spec = homogeneous_spec()
         grid = Grid(R=60.0, n=2401)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
-        pair = _pair_at(spec, cfg, grid, 1e-2)
+        pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         Q = ref
         e_values = []

@@ -15,7 +15,7 @@ from .discretize import (Grid, Profile, apply_full_operator, apply_nonlocal,
                          bilinear_form, seminorm_K)
 from .energy import EnergyBreakdown, renormalized_interaction, total_energy
 from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
-                        build_envelopes, project_admissible, solve_barrier)
+                        build_envelopes, solve_barrier)
 from .solver import (ContinuationSchedule, SolveResult, SolverConfig,
                      continuation_run, minimize_constrained, residual_EL,
                      truncate_to_wells, verify_apriori_bounds)
@@ -30,7 +30,7 @@ __all__ = [
     "bilinear_form", "seminorm_K",
     "EnergyBreakdown", "renormalized_interaction", "total_energy",
     "ObstacleConfig", "ObstaclePair", "barrier_pair", "build_envelopes",
-    "project_admissible", "solve_barrier",
+    "solve_barrier",
     "ContinuationSchedule", "SolveResult", "SolverConfig", "continuation_run",
     "minimize_constrained", "residual_EL", "truncate_to_wells",
     "verify_apriori_bounds",

@@ -1,19 +1,21 @@
 """Command-line entry point: verify-model, solve, diagnose, bench-appendix.
 
-Exit-code contract: 0 pass, 1 check or convergence failure, 2 usage or
-precondition error (including config parse errors), 3 environment error
-(I/O, locking).  One config file drives a run; outputs are deterministic
-for identical configs (fixed summation order, no wall-clock content), and
-the run manifest is written last via atomic rename.  NLHET_THREADS caps
-internal parallelism (used by the scaling bench across family members).
+Exit codes: 0 pass, 1 check or convergence failure, 2 usage or precondition
+error (config parse error, a checkpoint of another config), 3 environment
+error (I/O, a lock held by a live or foreign run).  Outputs are deterministic
+for identical configs; the manifest is written last via atomic rename, and
+``solve --resume`` continues from checkpoint.json to the same bytes as an
+uninterrupted run.  NLHET_THREADS caps internal parallelism (scaling bench).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import socket
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
@@ -27,7 +29,8 @@ from .discretize import Grid, Profile, reference_profile
 from .model import verify_model
 from .obstacles import (BarrierSolveError, EnvelopeClauseError, ObstaclePair,
                         barrier_pair)
-from .solver import NonConvergenceError, SolverError, continuation_run
+from .solver import (NonConvergenceError, SolverError, StageRecord,
+                     continuation_run)
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_ENV = 0, 1, 2, 3
 _FMT = "%.17g"
@@ -70,7 +73,7 @@ def write_profile_csv(path: str, Q: Profile, ref: Profile) -> None:
                 _columns(Q.x, Q.values, ref.values, Q.values - ref.values))
 
 
-def read_profile_csv(path: str, R_hint: Optional[float] = None):
+def read_profile_csv(path: str):
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
         x = np.asarray(data["x"], float)
@@ -125,14 +128,59 @@ def write_norms_csv(path: str, rows) -> None:
                 rows)
 
 
+def _read_checkpoint(path: str, digest: str, n: int):
+    """(stages, trace, values) of a checkpoint of config ``digest`` on n nodes."""
+    try:
+        with open(path) as fh:
+            ck = json.load(fh)
+        q = np.array(ck["q"], float)
+        if ck["config_digest"] != digest or q.shape != (n,):
+            raise ValueError("written for another config")
+        return ([StageRecord(**s) for s in ck["stages"]],
+                [tuple(r) for r in ck["trace"]], q)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"checkpoint {path} does not fit this run: {e}") from e
+
+
+def _dead_owner(path: str) -> Optional[str]:
+    """The text of the lock at ``path`` when it is ``pid@hostname`` of a
+    process that no longer runs on this host, else None."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        pid, host = text.split("@")
+        if host == socket.gethostname() and int(pid) > 0:
+            os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return text
+    except (OSError, ValueError, OverflowError):
+        pass  # no lock, a live pid, or not pid@hostname
+    return None
+
+
 class _Lock:
+    """Claim on an output directory: a file holding ``pid@hostname`` of its
+    run.  A lock whose pid is dead on this host is taken over; any other lock
+    (live, foreign, empty or malformed) refuses the run."""
+
     def __init__(self, outdir: str):
         self.path = os.path.join(outdir, ".nlhet.lock")
 
     def __enter__(self):
+        stale = _dead_owner(self.path)
+        if stale is not None:
+            # move it aside, and back if another run's lock replaced it since
+            aside = f"{self.path}.{os.getpid()}"
+            os.rename(self.path, aside)
+            with open(aside) as fh:
+                replaced = fh.read() != stale
+            if replaced:
+                os.rename(aside, self.path)
+            else:
+                os.remove(aside)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
+            with open(self.path, "x") as fh:
+                fh.write(f"{os.getpid()}@{socket.gethostname()}")
         except FileExistsError:
             raise OSError(f"output directory is locked by another run "
                           f"({self.path})")
@@ -219,50 +267,40 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
         print("config lacks usable obstacle endpoints (set obstacles.b1/b2 "
               "or modulation m1/m2)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        testfile = os.path.join(outdir, ".writable")
-        with open(testfile, "w") as fh:
-            fh.write("")
-        os.remove(testfile)
-    except OSError as e:
-        print(f"output directory not usable: {e}", file=sys.stderr)
-        return EXIT_ENV
-
-    stage_dir = os.path.join(outdir, "stages")
-    os.makedirs(stage_dir, exist_ok=True)
-    state_path = os.path.join(outdir, "stages", "state.json")
-    resume_state = None
+    ck_path = os.path.join(outdir, "checkpoint.json")
     ref = reference_profile(cfg.spec, cfg.grid)
-    if resume and os.path.exists(state_path):
-        with open(state_path) as fh:
-            st = json.load(fh)
-        stage_csv = os.path.join(stage_dir, f"stage_{st['last']:03d}.csv")
-        Qr, _ = read_profile_csv(stage_csv)
-        resume_state = (st["last"], Qr)
-        print(f"resuming after completed stage {st['last']}")
+    completed = 0
 
-    def stage_cb(idx, mu, eta, Q):
-        write_profile_csv(os.path.join(stage_dir, f"stage_{idx:03d}.csv"), Q, ref)
-        _atomic_write(state_path, json.dumps({"last": idx}) + "\n")
+    def stage_cb(stages, trace, q):
+        nonlocal completed
+        completed = len(stages)
+        _atomic_write(ck_path, json.dumps(
+            {"config_digest": cfg.digest, "stages": [vars(s) for s in stages],
+             "trace": trace, "q": q.tolist()}, sort_keys=True) + "\n")
 
     outputs: List[str] = []
     verdicts: dict = {}
     try:
+        os.makedirs(outdir, exist_ok=True)
         with _Lock(outdir):
+            resume_from = None
+            if resume and os.path.exists(ck_path):
+                try:
+                    resume_from = _read_checkpoint(ck_path, cfg.digest, cfg.grid.n)
+                except ValueError as e:
+                    print(f"cannot resume: {e}", file=sys.stderr)
+                    return EXIT_USAGE
+                completed = len(resume_from[0])
+                print(f"resuming after completed stage {completed - 1}")
             try:
                 result = continuation_run(
                     cfg.spec, cfg.grid, cfg.obstacles, cfg.schedule, cfg.solver,
                     limit_tol=cfg.limit_tol, stage_callback=stage_cb,
-                    resume_state=resume_state)
+                    resume=resume_from)
             except (NonConvergenceError, SolverError, EnvelopeClauseError,
                     BarrierSolveError, ValueError) as e:
-                stage_id = "unknown"
-                if os.path.exists(state_path):
-                    with open(state_path) as fh:
-                        stage_id = str(json.load(fh).get("last", "unknown"))
-                print(f"continuation failed at stage {stage_id}: {e}",
-                      file=sys.stderr)
+                print(f"continuation failed after {completed} completed "
+                      f"stages: {e}", file=sys.stderr)
                 return EXIT_CHECK
 
             prof_path = os.path.join(outdir, "profile.csv")
@@ -304,9 +342,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
             verdicts["contact_empty"] = "pass" if not result.contact else "fail"
             verdicts["residual_max"] = f"measured:{result.residual_max:.6e}"
             verdicts["monotone"] = f"measured:{result.monotone}"
-            outputs.extend(os.path.join(stage_dir, p)
-                           for p in sorted(os.listdir(stage_dir)))
-            import hashlib
+            outputs.append(ck_path)
             model_raw = {k: v for k, v in cfg.raw.items()
                          if k in ("kernel", "potential", "modulation")}
             model_hash = hashlib.sha256(
@@ -320,9 +356,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
                 "residual_max": result.residual_max,
                 "contact_count": len(result.contact),
             }
-            man = _write_manifest(outdir, cfg.digest, "solve", outputs,
-                                  verdicts, extra)
-            outputs.append(man)
+            _write_manifest(outdir, cfg.digest, "solve", outputs, verdicts, extra)
     except OSError as e:
         print(f"environment error: {e}", file=sys.stderr)
         return EXIT_ENV

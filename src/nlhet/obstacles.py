@@ -44,7 +44,6 @@ __all__ = [
     "barrier_pair",
     "band_check",
     "faithful_barriers",
-    "project_admissible",
 ]
 
 
@@ -359,31 +358,3 @@ def faithful_barriers(pair: ObstaclePair) -> Tuple[Profile, Profile]:
     psi = Profile(pair.psi.grid, datum_m + inv * (pair.psi.values - datum_m),
                   pair.psi.left_const, pair.psi.right_const)
     return phi, psi
-
-
-# --------------------------------------------------------------------------
-# projection
-# --------------------------------------------------------------------------
-
-
-def project_admissible(Q: Profile, pair: ObstaclePair, cfg: ObstacleConfig,
-                       mode: str = "gamma_only") -> Profile:
-    """Clamp a profile into the obstacle band.
-
-    ``gamma_only`` constrains (-inf, b1] u [b2, inf) only; ``sigma_full``
-    clamps everywhere.  Idempotent; far-field constants are preserved (they
-    already sit strictly inside the exterior band).
-    """
-    if mode not in ("gamma_only", "sigma_full"):
-        raise ValueError(f"unknown projection mode {mode!r}")
-    if Q.grid != pair.Phi.grid:
-        raise ValueError("profile and obstacle pair must share a grid")
-    lo, hi = pair.Psi.values, pair.Phi.values
-    if np.any(lo > hi):
-        raise ValueError("invalid obstacle pair: lower envelope exceeds upper")
-    x = Q.x
-    region = np.ones(Q.grid.n, bool) if mode == "sigma_full" else \
-        (x <= cfg.b1) | (x >= cfg.b2)
-    vals = Q.values.copy()
-    vals[region] = np.clip(vals[region], lo[region], hi[region])
-    return Profile(Q.grid, vals, Q.left_const, Q.right_const)

@@ -11,10 +11,10 @@ decreases strictly on every accepted step.  The stationarity measure is
 ||Q - proj(Q - g)||_2 with g the discrete energy gradient, so at free nodes
 the Euler-Lagrange residual is bounded by grad_tol / h at convergence.
 
-The continuation runs an outer loop over the penalty weights mu and an
-inner loop over the viscosity weights eta (warm starts throughout), re-solves
-with eta = 0 after the last positive eta of each mu stage, and finishes with
-an unpenalized polish (mu = 0, well clamp only).  The far-field limit check
+The continuation runs one list of (mu, eta) stages with warm starts: every
+eta down to 0 for each penalty weight mu, then an unpenalized polish (mu = 0,
+well clamp only).  The completed stages and their trace rows are all that a
+resumed run needs to continue exactly.  The far-field limit check
 certifies the result: the deviation from each well on the outer quarter of
 the window must stay below the limit tolerance and its running maximum must
 shrink toward the window edge.
@@ -443,13 +443,14 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                      solver_cfg: Optional[SolverConfig] = None,
                      limit_tol: Optional[float] = None,
                      stage_callback=None,
-                     resume_state: Optional[Tuple[int, Profile]] = None) -> SolveResult:
+                     resume: Optional[Tuple[List[StageRecord], List[Tuple],
+                                            np.ndarray]] = None) -> SolveResult:
     """Full double continuation ending in a residual-certified heteroclinic.
 
     Raises NonConvergenceError (with the offending tail samples) when the
-    far-field limit check fails on the final profile.  ``stage_callback``
-    receives (stage_index, mu, eta, Profile) after every completed stage;
-    ``resume_state`` = (last_completed_stage_index, profile) skips ahead.
+    far-field limit check fails on the final profile.  After each stage
+    ``stage_callback`` receives new (stage records, trace rows, Q values);
+    ``resume`` = any such triple runs the remaining stages like a fresh run.
     """
     schedule = schedule or ContinuationSchedule()
     solver_cfg = solver_cfg or SolverConfig()
@@ -462,23 +463,16 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
         raise ValueError("window too small: need R >= 4*max(|b1|, |b2|)")
     pot = spec.potential
     ref = reference_profile(spec, grid)
-    Q = ref.copy()
 
-    trace: List[Tuple] = []
+    plan = [(mu, eta) for mu in schedule.mus_positive() for eta in schedule.etas()]
+    if schedule.final_polish():
+        plan.append((0.0, 0.0))  # well clamp only
     stages: List[StageRecord] = []
-    last_pair = None
-    stage_index = -1
-    skip_until = resume_state[0] if resume_state is not None else -1
-    if resume_state is not None:
-        Q = _unflip(resume_state[1], flipped)  # negation is its own inverse
-
-    def run_stage(mu, eta, pair):
-        nonlocal Q
-        stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg)
-        q, _, contact, record = _run_stage(stage, Q.values, solver_cfg, trace)
-        Q = Profile(grid, q, Q.left_const, Q.right_const)
-        stages.append(record)
-        return contact
+    trace: List[Tuple] = []
+    q = ref.values
+    sign = -1.0 if flipped else 1.0  # maps either orientation to the other
+    if resume is not None:
+        stages, trace, q = list(resume[0]), list(resume[1]), sign * resume[2]
 
     pairs = {}  # the barrier problem does not involve mu: one pair per eta
 
@@ -487,25 +481,16 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
             pairs[eta] = barrier_pair(spec, obstacle_cfg, grid, eta)
         return pairs[eta]
 
-    contact: List[Tuple[int, float, str]] = []
-    for mu in schedule.mus_positive():
-        for eta in schedule.etas():
-            stage_index += 1
-            if stage_index <= skip_until:
-                continue
-            last_pair = pair_at(eta)
-            contact = run_stage(mu, eta, last_pair)
-            if stage_callback is not None:
-                stage_callback(stage_index, mu, eta, _unflip(Q, flipped))
-    if last_pair is None:  # no barrier stage ran, e.g. a resume past them all
-        last_pair = pair_at(0.0)
-    if schedule.final_polish():
-        stage_index += 1
-        if stage_index > skip_until:
-            run_stage(0.0, 0.0, None)  # well clamp only
-            contact = _contact_nodes(Q.values, last_pair, grid)
-            if stage_callback is not None:
-                stage_callback(stage_index, 0.0, 0.0, _unflip(Q, flipped))
+    for mu, eta in plan[len(stages):]:
+        pair = pair_at(eta) if mu > 0 else None
+        stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg)
+        q, _, _, record = _run_stage(stage, q, solver_cfg, trace)
+        stages.append(record)
+        if stage_callback is not None:
+            stage_callback(list(stages), list(trace), sign * q)
+    Q = Profile(grid, q, ref.left_const, ref.right_const)
+    last_pair = pair_at(0.0)  # etas() ends in 0
+    contact = _contact_nodes(q, last_pair, grid)
 
     rmax, _ = residual_EL(Q, spec)
     tol = limit_tol if limit_tol is not None else default_limit_tol(grid, spec.s)
@@ -521,22 +506,16 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     stage0 = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
     bd = EnergyBreakdown(*stage0.energy_pieces(Q.values))
     swap = {"upper": "lower", "lower": "upper"}
-    result = SolveResult(profile=_unflip(Q, flipped), breakdown=bd,
-                         residual_max=rmax,
-                         contact=[(i, x, swap[w] if flipped else w)
-                                  for i, x, w in contact],
-                         trace=trace, pair=last_pair, flipped=flipped,
-                         stages=stages,
-                         stationarity=stages[-1].stationarity if stages else 0.0,
-                         iterations=sum(s.iterations for s in stages),
-                         limit_check=lim, monotone=mono)
-    return result
-
-
-def _unflip(Q: Profile, flipped: bool) -> Profile:
-    if not flipped:
-        return Q.copy()
-    return Profile(Q.grid, -Q.values, -Q.left_const, -Q.right_const)
+    return SolveResult(profile=Profile(grid, sign * q, sign * Q.left_const,
+                                       sign * Q.right_const), breakdown=bd,
+                       residual_max=rmax,
+                       contact=[(i, x, swap[w] if flipped else w)
+                                for i, x, w in contact],
+                       trace=trace, pair=last_pair, flipped=flipped,
+                       stages=stages,
+                       stationarity=stages[-1].stationarity,
+                       iterations=sum(s.iterations for s in stages),
+                       limit_check=lim, monotone=mono)
 
 
 def residual_EL(Q: Profile, spec: ProblemSpec) -> Tuple[float, np.ndarray]:

@@ -2,17 +2,20 @@ import json
 import math
 import os
 import shutil
+import socket
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from nlhet.cli import (_layer_match, main, read_profile_csv,
+from nlhet import solver
+from nlhet.cli import (_layer_match, _Lock, main, read_profile_csv,
                        write_obstacles_csv, write_profile_csv,
                        write_tail_csv, write_trace_csv)
 from nlhet.discretize import Grid, Profile
 from nlhet.obstacles import ObstacleConfig, ObstaclePair
+from nlhet.solver import SolverError
 
 from conftest import layer
 
@@ -143,15 +146,27 @@ def solved(tmp_path_factory):
     return code, tmp, cfg, out
 
 
+@pytest.fixture(scope="module")
+def dead_pid():
+    """The pid of a child that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+SOLVE_OUTPUTS = ("profile.csv", "energy_trace.csv", "obstacles.csv",
+                 "diagnostics.json", "checkpoint.json")
+
+
 class TestSolve:
     def test_exit_zero_and_outputs(self, solved):
         code, tmp, cfg, out = solved
         assert code == 0
         man = json.loads((out / "manifest.json").read_text())
-        for name in ("profile.csv", "energy_trace.csv", "obstacles.csv",
-                     "diagnostics.json"):
+        for name in SOLVE_OUTPUTS:
             assert (out / name).exists() and (out / name).stat().st_size > 0
             assert any(p.endswith(name) for p in man["outputs"])
+        assert sorted(os.listdir(out)) == sorted(SOLVE_OUTPUTS + ("manifest.json",))
         # manifest completeness: every listed output exists and is non-empty
         import pathlib
         for p in man["outputs"]:
@@ -183,8 +198,7 @@ class TestSolve:
         code, tmp, cfg, out = solved
         out2 = tmp_path / "out2"
         assert main(["solve", cfg, "--out", str(out2)]) == 0
-        for name in ("profile.csv", "energy_trace.csv", "obstacles.csv",
-                     "diagnostics.json"):
+        for name in SOLVE_OUTPUTS:
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_resume_after_final_stage_writes_same_obstacles(self, solved,
@@ -201,6 +215,49 @@ class TestSolve:
         resumed = json.loads((copy / "diagnostics.json").read_text())
         assert resumed["rhs_scale"] == fresh["rhs_scale"]
 
+    @pytest.mark.parametrize("last", [0, 3, 6])  # 7 stages: first, middle, final
+    def test_resume_writes_same_bytes_as_fresh_run(self, solved, tmp_path,
+                                                   monkeypatch, last):
+        code, tmp, cfg, out = solved
+        real, calls = solver._run_stage, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == last + 2:
+                raise SolverError("interrupted")
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_run_stage", failing)
+            first = main(["solve", cfg, "--out", str(tmp_path)])
+        # after the final stage nothing fails: the run completes, and removing
+        # its outputs leaves what a run killed after that stage leaves
+        assert first == (0 if last == 6 else 1)
+        for name in os.listdir(tmp_path):  # keep only what a killed run leaves
+            if name != "checkpoint.json":
+                os.remove(tmp_path / name)
+        ck = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert len(ck["stages"]) == last + 1
+        assert main(["solve", cfg, "--out", str(tmp_path), "--resume"]) == 0
+        for name in SOLVE_OUTPUTS:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_resume_with_edited_config_usage_error(self, solved, tmp_path):
+        code, tmp, cfg, out = solved
+        edited = _write(tmp_path, "edited.ini",
+                        CONFIG_SMALL.replace("layer_tol = 0.05", "layer_tol = 0.06"))
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert main(["solve", edited, "--out", str(copy), "--resume"]) == 2
+        assert ((copy / "checkpoint.json").read_bytes()
+                == (out / "checkpoint.json").read_bytes())
+
+    def test_resume_from_truncated_checkpoint_usage_error(self, solved, tmp_path):
+        code, tmp, cfg, out = solved
+        text = (out / "checkpoint.json").read_text()
+        (tmp_path / "checkpoint.json").write_text(text[:len(text) // 2])
+        assert main(["solve", cfg, "--out", str(tmp_path), "--resume"]) == 2
+
     def test_resume_from_staged_profile(self, solved, capsys):
         code, tmp, cfg, out = solved
         assert main(["solve", cfg, "--out", str(out), "--resume"]) == 0
@@ -212,6 +269,27 @@ class TestSolve:
         out3.mkdir()
         (out3 / ".nlhet.lock").write_text("")
         assert main(["solve", cfg, "--out", str(out3)]) == 3
+
+    @pytest.mark.parametrize("owner", ["malformed", "live", "other-host"])
+    def test_lock_of_another_run_env_error(self, solved, tmp_path, dead_pid,
+                                           owner):
+        code, tmp, cfg, out = solved
+        host = socket.gethostname()
+        text = {"malformed": "12@", "live": f"{os.getpid()}@{host}",
+                "other-host": f"{dead_pid}@not-{host}"}[owner]
+        lock = tmp_path / ".nlhet.lock"
+        lock.write_text(text)
+        assert main(["solve", cfg, "--out", str(tmp_path)]) == 3
+        assert lock.read_text() == text
+
+    def test_lock_of_dead_run_taken_over(self, tmp_path, dead_pid):
+        host = socket.gethostname()
+        lock = tmp_path / ".nlhet.lock"
+        lock.write_text(f"{dead_pid}@{host}")
+        with _Lock(str(tmp_path)):
+            assert lock.read_text() == f"{os.getpid()}@{host}"
+            assert os.listdir(tmp_path) == [".nlhet.lock"]
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_outdir_env_error(self, solved, tmp_path):
         code, tmp, cfg, out = solved

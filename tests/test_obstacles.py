@@ -1,14 +1,15 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile, workspace_for
+from nlhet.discretize import Grid, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import (EnvelopeClauseError, ObstacleConfig, band_check,
                              build_envelopes, compute_rhs_constant,
-                             faithful_barriers, project_admissible,
-                             solve_barrier)
+                             faithful_barriers, solve_barrier)
+from nlhet.solver import SolverError, _Stage
 
 from conftest import homogeneous_spec, modulated_spec, reference_on
 
@@ -167,45 +168,27 @@ class TestEnvelopes:
         assert np.max(np.abs(psi_f.values - psi.values)) < 1e-8
 
 
-class TestProjection:
-    def test_idempotent_inside(self, barrier_setup):
+class TestStageProjection:
+    def test_clamps_shifted_reference(self, barrier_setup):
+        # the solver's only clamp: the obstacle band on the constrained
+        # region, intersected with the well sandwich everywhere
         spec, grid, cfg, _, _, pair = barrier_setup
+        pot = spec.potential
         ref = reference_on(spec, grid)
-        out = project_admissible(ref, pair, cfg, "gamma_only")
-        assert np.array_equal(out.values, ref.values)
-        out2 = project_admissible(out, pair, cfg, "gamma_only")
-        assert np.array_equal(out2.values, out.values)
-
-    def test_clamps_offset_profile(self, barrier_setup):
-        spec, grid, cfg, _, _, pair = barrier_setup
-        ref = reference_on(spec, grid)
-        shifted = Profile(grid, ref.values + 10.0, ref.left_const, ref.right_const)
-        out = project_admissible(shifted, pair, cfg, "gamma_only")
+        stage = _Stage(spec, grid, ref, 1e-2, 1e-1, pair, cfg)
+        out = stage.project(ref.values + 10.0)
         x = grid.x
-        region = (x <= cfg.b1) | (x >= cfg.b2)
-        assert np.all(out.values[region] == pair.Phi.values[region])
-        assert np.all(out.values[~region] == shifted.values[~region])
-        full = project_admissible(shifted, pair, cfg, "sigma_full")
-        assert np.all(full.values <= pair.Phi.values)
+        left, right = x <= cfg.b1, x >= cfg.b2
+        assert np.array_equal(out[left], pair.Phi.values[left])
+        # right of b2 the envelope sits above the upper well (zeta2 + r)
+        assert np.array_equal(out[right],
+                              np.minimum(pair.Phi.values, pot.well_hi)[right])
+        assert np.all(out[~(left | right)] == pot.well_hi)
+        assert np.array_equal(stage.project(out), out)
 
-    def test_far_fields_preserved(self, barrier_setup):
+    def test_conflicting_pair_rejected(self, barrier_setup):
         spec, grid, cfg, _, _, pair = barrier_setup
-        ref = reference_on(spec, grid)
-        out = project_admissible(ref, pair, cfg, "sigma_full")
-        assert out.left_const == ref.left_const
-        assert out.right_const == ref.right_const
-
-    def test_invalid_pair_rejected(self, barrier_setup):
-        spec, grid, cfg, _, _, pair = barrier_setup
-        import copy
         bad = copy.deepcopy(pair)
         bad.Psi.values[:] = bad.Phi.values + 1.0
-        ref = reference_on(spec, grid)
-        with pytest.raises(ValueError, match="lower envelope exceeds upper"):
-            project_admissible(ref, bad, cfg, "sigma_full")
-
-    def test_unknown_mode_rejected(self, barrier_setup):
-        spec, grid, cfg, _, _, pair = barrier_setup
-        ref = reference_on(spec, grid)
-        with pytest.raises(ValueError):
-            project_admissible(ref, pair, cfg, "everything")
+        with pytest.raises(SolverError, match="empty feasible box"):
+            _Stage(spec, grid, reference_on(spec, grid), 1e-2, 1e-1, bad, cfg)

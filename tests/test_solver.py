@@ -290,8 +290,8 @@ class TestStageRunner:
         sched = ContinuationSchedule(eta_seq=(1e-1, 0.0), mu_seq=(1e-1,))
         seen = {}
 
-        def capture(idx, mu, eta, Q):
-            seen[idx] = Q
+        def capture(stages, trace, q):
+            seen[len(stages) - 1] = q
 
         cont = continuation_run(spec, grid, cfg, sched, SolverConfig(),
                                 stage_callback=capture)
@@ -299,9 +299,39 @@ class TestStageRunner:
         ref = reference_on(spec, grid)
         single = minimize_constrained(ref, spec, barrier_pair(spec, cfg, grid, 1e-1),
                                       cfg, 1e-1, 1e-1)
-        assert np.array_equal(seen[0].values, single.profile.values)
+        assert np.array_equal(seen[0], single.profile.values)
         assert cont.stages[0] == single.stages[0]
         assert cont.trace[:len(single.trace)] == single.trace
+
+
+class TestResume:
+    def test_resume_from_every_stage_equals_fresh_run(self):
+        # a flipped spec (zeta1 > zeta2): snapshots and resume are in the
+        # caller's orientation, the stages run in the canonical one
+        base = homogeneous_spec()
+        spec = ProblemSpec(base.kernel, PotentialSpec(zeta1=TWO_PI, zeta2=0.0),
+                           base.modulation)
+        grid = Grid(R=40.0, n=401)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        sched = ContinuationSchedule(eta_seq=(1e-1, 1e-2, 0.0),
+                                     mu_seq=(1e-1, 2e-2, 0.0))
+        snaps = []
+        fresh = continuation_run(spec, grid, cfg, sched, SolverConfig(),
+                                 stage_callback=lambda *snap: snaps.append(snap))
+        assert fresh.flipped and len(snaps) == 7
+        for k, (stages, trace, q) in enumerate(snaps):
+            # what a callback received did not change after it returned
+            assert stages == fresh.stages[:k + 1]
+            assert trace == fresh.trace[:len(trace)]
+            assert len(trace) == sum(s.iterations for s in stages)
+            res = continuation_run(spec, grid, cfg, sched, SolverConfig(),
+                                   resume=(stages, trace, q))
+            assert np.array_equal(res.profile.values, fresh.profile.values)
+            assert res.trace == fresh.trace
+            assert res.stages == fresh.stages
+            assert res.contact == fresh.contact
+            assert res.residual_max == fresh.residual_max
+        assert np.array_equal(snaps[-1][2], fresh.profile.values)
 
 
 class TestContinuation:

@@ -11,6 +11,7 @@ uninterrupted run.  NLHET_THREADS caps internal parallelism (scaling bench).
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import math
@@ -128,12 +129,21 @@ def write_norms_csv(path: str, rows) -> None:
                 rows)
 
 
+def _encode_values(q: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes: exact and byte-deterministic."""
+    return base64.b64encode(np.asarray(q, "<f8").tobytes()).decode("ascii")
+
+
+def _decode_values(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8").astype(float)
+
+
 def _read_checkpoint(path: str, digest: str, n: int):
     """(stages, trace, values) of a checkpoint of config ``digest`` on n nodes."""
     try:
         with open(path) as fh:
             ck = json.load(fh)
-        q = np.array(ck["q"], float)
+        q = _decode_values(ck["q"])
         if ck["config_digest"] != digest or q.shape != (n,):
             raise ValueError("written for another config")
         return ([StageRecord(**s) for s in ck["stages"]],
@@ -276,7 +286,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
         completed = len(stages)
         _atomic_write(ck_path, json.dumps(
             {"config_digest": cfg.digest, "stages": [vars(s) for s in stages],
-             "trace": trace, "q": q.tolist()}, sort_keys=True) + "\n")
+             "trace": trace, "q": _encode_values(q)}, sort_keys=True) + "\n")
 
     outputs: List[str] = []
     verdicts: dict = {}

@@ -45,6 +45,7 @@ __all__ = [
     "Interval",
     "WHOLE_LINE",
     "operator_field",
+    "operator_linear",
     "apply_nonlocal",
     "apply_full_operator",
     "seminorm_K",
@@ -268,6 +269,17 @@ def operator_field(ws: Workspace, q: np.ndarray, left_const: float,
         out = out + mu * (q - ref)
     if eta:
         out = out - eta * second_difference(q, ws.grid.h)
+    return out
+
+
+def operator_linear(ws: Workspace, v: np.ndarray, c: np.ndarray,
+                    eta: float = 0.0) -> np.ndarray:
+    """v (diag + c) - conv(v) - eta d2 v on all n nodes: the linear part of
+    the operator field plus a per-node coefficient c.  With c = a W''(q) + mu,
+    h times it is the Hessian-vector product of the discrete energy at q."""
+    out = v * (ws.diag + c) - ws.conv(v)
+    if eta:
+        out = out - eta * second_difference(v, ws.grid.h)
     return out
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "ValidationReport",
     "kernel_eval",
     "potential_eval_grad",
+    "potential_hess",
     "reference_profile_eval",
     "verify_model",
     "natural_halfspace_constant",
@@ -236,6 +237,28 @@ def potential_eval_grad(spec: PotentialSpec, u) -> Tuple[np.ndarray, np.ndarray]
     if W.shape:
         return W, Wp
     return float(W), float(Wp)
+
+
+def potential_hess(spec: PotentialSpec, u) -> np.ndarray:
+    """W''(u): analytic for the cosine and quartic forms, a centered
+    difference of W' for the tabulated one."""
+    u = np.asarray(u, dtype=float)
+    L = spec.zeta2 - spec.zeta1
+    if spec.form == "cosine":
+        k = 2 * math.pi / L
+        Wpp = spec.amplitude * k * k * np.cos(k * (u - spec.zeta1))
+    elif spec.form == "quartic":
+        q = 16.0 * spec.amplitude / abs(L) ** 4
+        Wpp = 2 * q * ((2 * u - spec.zeta1 - spec.zeta2) ** 2
+                       + 2 * (u - spec.zeta1) * (u - spec.zeta2))
+    else:
+        tu = spec.table_u
+        du = 1e-4 * max(1.0, abs(L))
+        up = np.minimum(u + du, tu[-1])
+        um = np.maximum(u - du, tu[0])
+        Wpp = (potential_eval_grad(spec, up)[1]
+               - potential_eval_grad(spec, um)[1]) / (up - um)
+    return Wpp if Wpp.shape else float(Wpp)
 
 
 # --------------------------------------------------------------------------

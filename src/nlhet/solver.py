@@ -1,15 +1,18 @@
 """Constrained minimization and the double continuation eta -> 0, mu -> 0.
 
-The minimizer is projected gradient descent with Armijo backtracking on the
-feasible box (well sandwich intersected with the obstacle band on the
-constrained region).  After each accepted step the first trial step is the
-Barzilai-Borwein length (s.y)/(y.y) of the last step s and gradient change
-y, clamped to [BB_STEP_MIN, STEP_MAX]; where s.y <= 0 (the stage is locally
-nonconvex, a W'' < 0) the last accepted step is doubled instead.  Armijo
-halves a trial step until the energy decreases sufficiently, so energy
-decreases strictly on every accepted step.  The stationarity measure is
-||Q - proj(Q - g)||_2 with g the discrete energy gradient, so at free nodes
-the Euler-Lagrange residual is bounded by grad_tol / h at convergence.
+The minimizer is projected Newton-CG on the feasible box (well sandwich
+intersected with the obstacle band on the constrained region).  A node is
+fixed when it lies within min(stationarity, 1e-3) of a bound with the
+gradient pushing outward; the window edges are always fixed.  Fixed nodes
+take the projected gradient step.  On the free nodes, preconditioned CG
+solves the Newton system to the relative residual min(0.5, sqrt(stationarity)),
+with the Strang circulant of the stage Hessian as preconditioner (an FFT pair
+of length n per application).  If CG meets negative curvature at its first step
+(the stage is locally nonconvex, a W'' < 0) the direction is -g instead.
+Armijo backtracking along the projection arc accepts only a strict energy
+decrease.  The stationarity measure is ||Q - proj(Q - g)||_2 with g the
+discrete energy gradient, so at free nodes the Euler-Lagrange residual is
+bounded by grad_tol / h at convergence.
 
 The continuation runs one list of (mu, eta) stages with warm starts: every
 eta down to 0 for each penalty weight mu, then an unpenalized polish (mu = 0,
@@ -24,15 +27,17 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .discretize import (Grid, Profile, operator_field, reference_profile,
-                         workspace_for)
+from .discretize import (Grid, Profile, operator_field, operator_linear,
+                         reference_profile, workspace_for)
 from .energy import EnergyBreakdown
-from .model import ProblemSpec, potential_eval_grad, verify_model
+from .model import (ProblemSpec, potential_eval_grad, potential_hess,
+                    verify_model)
 from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
                         faithful_barriers)
 
@@ -58,8 +63,8 @@ log = logging.getLogger("nlhet")
 MU_GUARD = 0.1  # heuristic cap on the first penalty weight (warned, not enforced)
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo rule
 ARMIJO_SHRINK = 0.5  # step factor per backtrack
-BB_STEP_MIN = 1e-10  # floor of the Barzilai-Borwein trial step
-STEP_MAX = 1e8  # cap of every trial step
+ACTIVE_EPS = 1e-3  # cap of the distance to a bound that can fix a node
+CG_MAX_ITERS = 200  # cap of the CG iterations per Newton direction
 
 
 class SolverError(RuntimeError):
@@ -145,6 +150,7 @@ class StageRecord:
     stationarity: float
     contact_count: int
     trials: int  # energy evaluations (``_Stage.trial`` calls)
+    cg: int  # CG iterations (Hessian-vector products)
 
 
 @dataclass
@@ -202,8 +208,24 @@ class _Stage:
                       + (self.ref_vals - ref.left_const) * ws.Wl
                       + (self.ref_vals - ref.right_const) * ws.Wr)
         self.trials = 0
-        # feasible box: well sandwich, intersected with the obstacle band
+        self.cg = 0
+        # Strang circulant of the stage Hessian, with the curvature a W''
+        # frozen at its mean over the wells: eigenvalues from one rfft
         pot = spec.potential
+        m = (n - 1) // 2
+        c_well = float(np.mean(self.a)) * float(np.mean(
+            potential_hess(pot, np.array([pot.zeta1, pot.zeta2])))) + mu
+        col = np.zeros(n)
+        col[0] = ws.diag[m] + c_well + 2.0 * eta / h ** 2
+        col[1:m + 1] = -ws.w[:m]
+        col[n - m:] = -ws.w[:m][::-1]
+        col[1] -= eta / h ** 2
+        col[-1] -= eta / h ** 2
+        sym = h * np.fft.rfft(col).real
+        # its smallest eigenvalue is Wl + Wr + c_well at the centre, which
+        # vanishes for a tabulated kernel (no tails) when c_well does
+        self.symbol = np.maximum(sym, 1e-12 * sym.max())
+        # feasible box: well sandwich, intersected with the obstacle band
         self.lob = np.full(n, pot.well_lo)
         self.upb = np.full(n, pot.well_hi)
         self.pair, self.cfg = pair, cfg
@@ -270,6 +292,18 @@ class _Stage:
         g[0] = g[-1] = 0.0
         return g
 
+    def curvature(self, q: np.ndarray) -> np.ndarray:
+        """a W''(q) + mu: the per-node coefficient of the Hessian at q."""
+        return self.a * potential_hess(self.spec.potential, q) + self.mu
+
+    def hessvec(self, c: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Hessian-vector product at the q whose ``curvature`` is c."""
+        return self.h * operator_linear(self.ws, p, c, self.eta)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The Strang circulant's inverse applied to r."""
+        return np.fft.irfft(np.fft.rfft(r) / self.symbol, r.size)
+
     def project(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.lob, self.upb)
 
@@ -290,25 +324,48 @@ def _contact_nodes(q: np.ndarray, pair: Optional[ObstaclePair], grid: Grid,
     return out
 
 
-def _next_step(s: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    """First trial step after an accepted step s with gradient change y.
+def _newton_direction(stage: _Stage, q: np.ndarray, g: np.ndarray,
+                      free: np.ndarray, forcing: float) -> Tuple[np.ndarray, int]:
+    """Projected Newton direction and its CG iteration count.
 
-    BB2 length (s.y)/(y.y) in [BB_STEP_MIN, STEP_MAX] where s.y > 0;
-    otherwise the accepted step alpha doubled, capped at STEP_MAX.
+    Preconditioned CG on the free nodes solves H d = -g to the relative
+    residual ``forcing``; it stops early at negative curvature, and if that
+    comes at the first step the direction is -g.  Fixed nodes take -g.
     """
-    sy = float(np.sum(s * y))
-    if sy <= 0.0:
-        return min(2.0 * alpha, STEP_MAX)
-    return min(max(sy / float(np.sum(y * y)), BB_STEP_MIN), STEP_MAX)
+    mask = free.astype(np.float64)
+    c = stage.curvature(q)
+    r = -g * mask
+    tol = forcing * float(np.linalg.norm(r))
+    z = stage.precondition(r) * mask
+    p = z
+    rz = float(r @ z)
+    d = np.zeros_like(g)
+    for k in range(1, CG_MAX_ITERS + 1):
+        Hp = stage.hessvec(c, p) * mask
+        pHp = float(p @ Hp)
+        if pHp <= 0.0:
+            if k == 1:
+                return -g, k
+            break
+        step = rz / pHp
+        d += step * p
+        r -= step * Hp
+        if float(np.linalg.norm(r)) <= tol:
+            break
+        z = stage.precondition(r) * mask
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return np.where(free, d, -g), k
 
 
 def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                     trace: List[Tuple]) -> Tuple[np.ndarray, Tuple, int, float]:
-    """Projected-gradient descent from q0; returns (q, energy pieces, iterations,
+    """Projected Newton-CG from q0; returns (q, energy pieces, iterations,
     stationarity).  Each trial point is evaluated once, and the accepted
-    trial's convolution and W' give the next iterate's gradient and, with
-    the last one, the next Barzilai-Borwein step.  Trace rows are numbered
-    on from the rows ``trace`` already holds."""
+    trial's convolution and W' give the next iterate's gradient.  CG
+    iterations add up in ``stage.cg``.  Trace rows are numbered on from the
+    rows ``trace`` already holds."""
     cfg = solver_cfg
     iter_offset = len(trace)
     gtol = cfg.resolve_grad_tol(stage.grid.n)
@@ -316,7 +373,6 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     q[0], q[-1] = q0[0], q0[-1]
     pieces, g = stage.evaluate(q)
     E = sum(pieces)
-    alpha = 1.0
     rn = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -325,30 +381,33 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
         trace.append((iter_offset + it - 1, *pieces, sum(pieces), rn))
         if rn <= gtol:
             break
+        eps = min(rn, ACTIVE_EPS)
+        free = ~(((q - stage.lob <= eps) & (g > 0))
+                 | ((stage.upb - q <= eps) & (g < 0)))
+        free[0] = free[-1] = False
+        d, cg = _newton_direction(stage, q, g, free, min(0.5, math.sqrt(rn)))
+        stage.cg += cg
+        alpha = 1.0
         accepted = False
         for _ in range(cfg.max_backtracks):
-            qt = stage.project(q - alpha * g)
+            qt = stage.project(q + alpha * d)
             qt[0], qt[-1] = q[0], q[-1]
-            d = q - qt
-            dd = float(np.sum(d * d))
-            if dd == 0.0:
+            if not np.any(qt != q):
                 break
-            pt, parts = stage.trial(qt)
-            Et = sum(pt)
-            if Et <= E - ARMIJO_C1 / alpha * dd:
-                accepted = True
-                break
+            slope = float(g @ (qt - q))
+            if slope < 0.0:
+                pt, parts = stage.trial(qt)
+                Et = sum(pt)
+                if Et < E and Et <= E + ARMIJO_C1 * slope:
+                    accepted = True
+                    break
             alpha *= ARMIJO_SHRINK
         if not accepted:
             raise StagnationError(
                 f"no admissible descent step above machine precision "
                 f"(iteration {it}, stationarity {rn:.3e}, step {alpha:.3e})",
                 it, rn, alpha)
-        if Et > E + 1e-12:
-            raise SolverError("energy increased on an accepted step")
-        gt = stage.gradient(qt, parts)
-        alpha = _next_step(qt - q, gt - g, alpha)
-        q, E, pieces, g = qt, Et, pt, gt
+        q, E, pieces, g = qt, Et, pt, stage.gradient(qt, parts)
     return q, pieces, it, rn
 
 
@@ -357,12 +416,16 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     """Minimize one stage from q0, report contact with the stage's obstacle
     pair and check the barrier comparison; returns (q, energy pieces,
     contact, record)."""
+    t0 = time.perf_counter()
     q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace)
     contact = _contact_nodes(q, stage.pair, stage.grid)
     if stage.pair is not None:
         _assert_barrier_comparison(q, stage.pair, stage.cfg)
     record = StageRecord(stage.mu, stage.eta, it, sum(pieces), rn, len(contact),
-                         stage.trials)
+                         stage.trials, stage.cg)
+    log.info("stage mu=%g eta=%g: %d iterations, %d trials, %d cg, "
+             "%d contact, %.3f s", stage.mu, stage.eta, it, stage.trials,
+             stage.cg, len(contact), time.perf_counter() - t0)
     return q, pieces, contact, record
 
 
@@ -372,7 +435,7 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
                          eta: float, mu: float,
                          solver_cfg: Optional[SolverConfig] = None,
                          ref: Optional[Profile] = None) -> SolveResult:
-    """Projected-gradient minimization of the (eta, mu) functional.
+    """Projected Newton-CG minimization of the (eta, mu) functional.
 
     The iterate is clamped into the well sandwich and, when an obstacle pair
     is given, into [Psi, Phi] on the constrained region.  Accepted steps

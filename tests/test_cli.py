@@ -1,4 +1,6 @@
+import base64
 import json
+import logging
 import math
 import os
 import shutil
@@ -190,9 +192,25 @@ class TestSolve:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["stages"]
         assert all(s["trials"] >= s["iterations"] >= 1 for s in diag["stages"])
+        assert all(s["cg"] >= s["iterations"] - 1 for s in diag["stages"])
         # measured on |x| <= R/2: the whole-window maximum would be the
         # 2/R = 0.033 gap between layer and well at the window edge
         assert diag["layer_match"]["distance"] < 1e-3
+
+    def test_stage_log_lines(self, solved, tmp_path, caplog):
+        # one INFO line per stage carries the counts and the wall time; the
+        # wall time stays out of the outputs (see test_deterministic_outputs)
+        code, tmp, cfg, out = solved
+        with caplog.at_level(logging.INFO, logger="nlhet"):
+            assert main(["solve", cfg, "--out", str(tmp_path / "logged")]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("stage ")]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert len(lines) == len(diag["stages"])
+        for line, s in zip(lines, diag["stages"]):
+            assert (f"{s['iterations']} iterations, {s['trials']} trials, "
+                    f"{s['cg']} cg, {s['contact_count']} contact, ") in line
+            assert line.endswith(" s")
 
     def test_deterministic_outputs(self, solved, tmp_path):
         code, tmp, cfg, out = solved
@@ -257,6 +275,27 @@ class TestSolve:
         text = (out / "checkpoint.json").read_text()
         (tmp_path / "checkpoint.json").write_text(text[:len(text) // 2])
         assert main(["solve", cfg, "--out", str(tmp_path), "--resume"]) == 2
+
+    @pytest.mark.parametrize("q", ["not base64!", "short", "list"])
+    def test_resume_from_bad_checkpoint_values_usage_error(self, solved,
+                                                           tmp_path, q):
+        # undecodable base64, a length other than n, and the JSON list of
+        # floats that the encoding replaced are all refused
+        code, tmp, cfg, out = solved
+        ck = json.loads((out / "checkpoint.json").read_text())
+        values = np.frombuffer(base64.b64decode(ck["q"]), "<f8")
+        ck["q"] = {"not base64!": "not base64!",
+                   "short": base64.b64encode(values[:-1].tobytes()).decode(),
+                   "list": values.tolist()}[q]
+        (tmp_path / "checkpoint.json").write_text(json.dumps(ck))
+        assert main(["solve", cfg, "--out", str(tmp_path), "--resume"]) == 2
+
+    def test_checkpoint_values_round_trip_exactly(self, solved):
+        code, tmp, cfg, out = solved
+        ck = json.loads((out / "checkpoint.json").read_text())
+        Q, _ = read_profile_csv(str(out / "profile.csv"))
+        assert np.array_equal(np.frombuffer(base64.b64decode(ck["q"]), "<f8"),
+                              Q.values)
 
     def test_resume_from_staged_profile(self, solved, capsys):
         code, tmp, cfg, out = solved

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlhet.model import (KernelSpec, ModulationSpec, PotentialSpec,
                          ProblemSpec, ReferenceProfile, kernel_eval,
                          natural_halfspace_constant, potential_eval_grad,
-                         reference_profile_eval, verify_model)
+                         potential_hess, reference_profile_eval, verify_model)
 
 from conftest import cosine_potential, footnote_modulation, homogeneous_spec
 
@@ -106,6 +106,37 @@ class TestPotential:
         q = 2 * np.sin(xi / 2) ** 2 / xi ** 2  # stable form of (1-cos xi)/xi^2
         assert q.min() >= 2 / math.pi ** 2
         assert q.max() <= 0.5 + 1e-12
+
+
+class TestPotentialHess:
+    @pytest.mark.parametrize("form", ["cosine", "quartic"])
+    def test_analytic_matches_difference_of_gradient(self, form):
+        pot = PotentialSpec(zeta1=0.0, zeta2=TWO_PI, form=form)
+        u = np.linspace(-0.5, TWO_PI + 0.5, 1001)
+        d = 1e-5
+        fd = (potential_eval_grad(pot, u + d)[1]
+              - potential_eval_grad(pot, u - d)[1]) / (2 * d)
+        Wpp = potential_hess(pot, u)
+        assert np.max(np.abs(Wpp - fd)) <= 1e-6 * np.max(np.abs(fd))
+        assert potential_hess(pot, 0.0) > 0 and potential_hess(pot, TWO_PI) > 0
+        assert potential_hess(pot, math.pi) < 0
+
+    def test_tabulated_matches_difference_of_gradient(self):
+        # the interpolant is piecewise linear, so W' steps at the knots: W''
+        # is that step over the width 2d of the difference (d = 1e-4 L) at a
+        # knot, and vanishes, up to rounding, inside the cells
+        tu = np.linspace(-1, 7, 200)
+        tW = 1 - np.cos(tu)
+        pot = PotentialSpec(zeta1=0.0, zeta2=TWO_PI, form="tabulated",
+                            table_u=tu, table_W=tW, c0=0.1, C0_growth=1.0)
+        slopes = np.diff(tW) / np.diff(tu)
+        d = 1e-4 * TWO_PI
+        knots = slice(5, -5)
+        expect = (slopes[5:-4] - slopes[4:-5]) / (2 * d)
+        got = potential_hess(pot, tu[knots])
+        assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
+        mid = 0.5 * (tu[1:] + tu[:-1])[knots]
+        assert np.max(np.abs(potential_hess(pot, mid))) <= 1e-6
 
 
 class TestModulation:

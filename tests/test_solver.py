@@ -44,6 +44,14 @@ class TestTruncateToWells:
             assert e1 <= e0 + 1e-10
 
 
+def _plateau_start(grid):
+    """A plateau on the potential maximum pi between tanh flanks at +-10."""
+    x = grid.x
+    return np.clip(math.pi + 0.01 * np.sin(x / 5.0)
+                   + math.pi / 2 * (np.tanh(x - 10.0) + np.tanh(x + 10.0)),
+                   0.0, TWO_PI)
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     spec = homogeneous_spec()
@@ -95,14 +103,14 @@ class TestMinimizeConstrained:
         assert np.all(q[mid] >= pair.Psi.values[mid] - 1e-9)
 
     def test_stagnation_error_with_one_backtrack(self, small_setup):
-        # a Barzilai-Borwein step can overshoot the accepted step by more
-        # than one halving (3.5 against 0.87 at iteration 4 here); one trial
-        # per iteration cannot absorb that, so Armijo runs out of admissible
-        # steps on a BB step, after the initial unit step was accepted
+        # from the plateau start of the nonconvex test the first Newton
+        # steps are accepted at the unit step, but a later one overshoots
+        # (at iteration 3 the energy rises from 1.57 to 4.24); one trial per iteration cannot absorb that, so
+        # Armijo runs out of admissible steps after accepted ones
         spec, grid, cfg = small_setup
-        ref = reference_on(spec, grid)
         with pytest.raises(StagnationError) as err:
-            minimize_constrained(ref, spec, None, None, 1e-2, 0.05,
+            minimize_constrained(Profile(grid, _plateau_start(grid), 0.0, TWO_PI),
+                                 spec, None, None, 0.0, 0.0,
                                  SolverConfig(max_backtracks=1))
         assert err.value.iteration > 1
 
@@ -172,30 +180,34 @@ class TestStepRule:
 
     def test_nonconvex_start_falls_back_and_still_descends(self, small_setup,
                                                             monkeypatch):
-        # a plateau on the potential maximum pi makes a W'' < 0 dominate the
-        # first steps: there s.y <= 0, the BB length is undefined and the
-        # step rule doubles the accepted step instead
+        # a plateau on the potential maximum pi, where W'' = -1, with jumps
+        # straight to the wells at |x| = 10: the first Newton step smooths
+        # the jumps but leaves the plateau within 0.5 of pi, so from then on
+        # the first CG step meets negative curvature and the direction falls
+        # back to -g.  From the smooth tanh flanks of ``_plateau_start`` the
+        # first Newton step carries the plateau 2.3 away from pi, out of the
+        # concave region, and no fallback happens.
         spec, grid, cfg = small_setup
         x = grid.x
-        q = np.clip(math.pi + 0.01 * np.sin(x / 5.0)
-                    + math.pi / 2 * (np.tanh(x - 10.0) + np.tanh(x + 10.0)),
-                    0.0, TWO_PI)
-        real_step, real_trial = solver._next_step, _Stage.trial
-        curvatures, trials = [], []
+        q = np.where(np.abs(x) < 10.0, math.pi + 0.01 * np.sin(x / 5.0),
+                     np.where(x < 0.0, 0.0, TWO_PI))
+        real_direction, real_trial = solver._newton_direction, _Stage.trial
+        fallbacks, trials = [], []
 
-        def step(s, y, alpha):
-            curvatures.append(float(np.sum(s * y)))
-            return real_step(s, y, alpha)
+        def direction(stage, q, g, free, forcing):
+            d, k = real_direction(stage, q, g, free, forcing)
+            fallbacks.append(np.array_equal(d, -g))
+            return d, k
 
         def trial(self, q):
             trials.append(1)
             return real_trial(self, q)
 
-        monkeypatch.setattr(solver, "_next_step", step)
+        monkeypatch.setattr(solver, "_newton_direction", direction)
         monkeypatch.setattr(_Stage, "trial", trial)
         res = minimize_constrained(Profile(grid, q, 0.0, TWO_PI), spec, None,
                                    None, 0.0, 0.0)
-        assert sum(c <= 0.0 for c in curvatures) >= 1
+        assert sum(fallbacks) >= 1
         totals = [row[5] for row in res.trace]
         assert all(b < a for a, b in zip(totals, totals[1:]))
         assert res.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
@@ -219,6 +231,51 @@ class TestFusedEvaluation:
                           spec, 1e-2, 0.05, ref)
         assert sum(pieces) == pytest.approx(bd.total, rel=1e-9)
         assert pieces[3] == pytest.approx(bd.interaction, rel=1e-9)
+
+
+class TestNewtonCG:
+    @pytest.mark.parametrize("form", ["cosine", "quartic"])
+    def test_hessvec_matches_difference_of_gradient(self, form):
+        base = homogeneous_spec()
+        spec = ProblemSpec(base.kernel,
+                           PotentialSpec(zeta1=0.0, zeta2=TWO_PI, form=form),
+                           base.modulation)
+        grid = Grid(R=60.0, n=2401)
+        ref = reference_on(spec, grid)
+        x = grid.x
+        q = np.clip(ref.values + np.exp(-x ** 2 / 8.0) * np.sin(x), 0.0, TWO_PI)
+        p = np.exp(-(x - 3.0) ** 2 / 20.0) * np.cos(x / 2.0)
+        p[0] = p[-1] = 0.0
+        stage = _Stage(spec, grid, ref, 0.05, 0.1, None, None)
+        d = 1e-5
+        fd = (stage.gradient(q + d * p) - stage.gradient(q - d * p)) / (2 * d)
+        Hp = stage.hessvec(stage.curvature(q), p)
+        err = np.max(np.abs(Hp[1:-1] - fd[1:-1]))
+        assert err <= 1e-7 * np.max(np.abs(fd))
+
+    def test_preconditioner_cuts_cg_iterations(self, monkeypatch):
+        # the first stage (eta = mu = 0.1) of the anchor run at n = 8001: one
+        # Newton system to a relative residual of 1e-6, with and without the
+        # Strang circulant (5 against 95 CG iterations here)
+        spec = homogeneous_spec()
+        grid = Grid(R=200.0, n=8001)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0)
+        ref = reference_on(spec, grid)
+        stage = _Stage(spec, grid, ref, 0.1, 0.1,
+                       barrier_pair(spec, cfg, grid, 0.1), cfg)
+        q = stage.project(ref.values)
+        _, g = stage.evaluate(q)
+        free = np.ones(grid.n, bool)
+        free[0] = free[-1] = False
+        d_pre, k_pre = solver._newton_direction(stage, q, g, free, 1e-6)
+        monkeypatch.setattr(stage, "precondition", lambda r: r)
+        d_plain, k_plain = solver._newton_direction(stage, q, g, free, 1e-6)
+        assert k_pre < k_plain
+        assert k_pre <= 10
+        c = stage.curvature(q)
+        for d in (d_pre, d_plain):
+            res = stage.hessvec(c, d)[1:-1] + g[1:-1]
+            assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(g)
 
 
 class TestSchedule:
@@ -344,7 +401,7 @@ class TestContinuation:
         assert np.all(q >= 0.0 - 1e-12) and np.all(q <= TWO_PI + 1e-12)
 
     def test_trials_per_iteration(self, small_run):
-        # BB steps are mostly accepted at the first trial
+        # Newton steps are mostly accepted at the unit step
         spec, grid, cfg, sched, res = small_run
         assert all(s.trials >= s.iterations for s in res.stages)
         assert sum(s.trials for s in res.stages) \

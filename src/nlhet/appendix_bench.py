@@ -184,6 +184,9 @@ def _log_cells(lo_abs: float, hi_abs: float, ppd: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
+_BLOCK_ROWS = 128
+
+
 def _nonuniform_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
                               skip: Optional[np.ndarray] = None) -> float:
     """Gagliardo H^(1/2) double sum on a nonuniform partition.
@@ -194,29 +197,36 @@ def _nonuniform_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
     singular cell.  The exterior of the partition (where f = 0) enters
     through exact one-sided tail masses.  ``skip`` marks cells excluded from
     the quadrature (the truncated singular core of the log grid).
+
+    Both the summand and the cell masses are symmetric in the pair, so the
+    sum runs over the upper triangle and is doubled: the adjacent pairs
+    j = i + 1, then the separated pairs j >= i + 2 in blocks of
+    ``_BLOCK_ROWS`` rows, so no temporary is larger than ``_BLOCK_ROWS`` x m.
     """
     mids = 0.5 * (edges[1:] + edges[:-1])
     widths = np.diff(edges)
     a, b = edges[:-1], edges[1:]
     m = mids.size
-    # exact mass over [a_i, b_i] x [a_j, b_j] for separated cells:
+    keep = np.ones(m) if skip is None else (~skip).astype(np.float64)
+    # adjacent pairs: midpoint product
+    dist = np.maximum(mids[1:] - mids[:-1], 1e-300)
+    upper = float(np.sum((f_mid[:-1] - f_mid[1:]) ** 2
+                         * (widths[:-1] * widths[1:] / dist ** 2)
+                         * keep[:-1] * keep[1:]))
+    # separated pairs, exact mass over [a_i, b_i] x [a_j, b_j]:
     #   log((a_j - a_i)(b_j - b_i) / ((a_j - b_i)(b_j - a_i)))
-    A2, B2 = a[None, :], b[None, :]
-    A1, B1 = a[:, None], b[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mass = np.log(np.abs((A2 - A1) * (B2 - B1))
-                      / np.abs((A2 - B1) * (B2 - A1)))
-    off = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    adj = off <= 1
-    mass[adj] = 0.0
-    dmat = np.abs(mids[:, None] - mids[None, :])
-    with np.errstate(divide="ignore"):
-        adj_mass = np.where(off == 1, widths[:, None] * widths[None, :]
-                            / np.maximum(dmat, 1e-300) ** 2, 0.0)
-    mass = mass + adj_mass
-    keep = np.ones(m, bool) if skip is None else ~skip
-    diffs = (f_mid[:, None] - f_mid[None, :]) ** 2
-    total = float(np.sum(diffs * mass * keep[:, None] * keep[None, :]))
+    # rows i0 <= i < i1 against columns j >= i0 + 2; np.triu keeps j >= i + 2
+    for i0 in range(0, m - 2, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, m - 2)
+        A1, B1 = a[i0:i1, None], b[i0:i1, None]
+        A2, B2 = a[None, i0 + 2:], b[None, i0 + 2:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = np.triu(np.log(np.abs((A2 - A1) * (B2 - B1))
+                                  / np.abs((A2 - B1) * (B2 - A1))))
+        diffs = (f_mid[i0:i1, None] - f_mid[None, i0 + 2:]) ** 2
+        upper += float(np.sum(diffs * mass * keep[i0:i1, None]
+                              * keep[None, i0 + 2:]))
+    total = 2.0 * upper
     # exterior (f = 0 there), both pair orders, midpoint in x
     ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)
                        * (1.0 / (edges[-1] - mids) + 1.0 / (mids - edges[0])))

@@ -466,18 +466,32 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
 
 
 def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
+    """Bump members for every s and the trace members, all in one pool of
+    ``_thread_cap()`` workers; results are gathered in input order, so the
+    outputs do not depend on the thread count."""
     b = cfg.bench
     os.makedirs(outdir, exist_ok=True)
     outputs = []
     verdicts = {}
     ok = True
     try:
-        for s in b["s_values"]:
-            fam = ab.BumpFamily(s=s, resolution=b["resolution"])
-            ks = list(range(0, b["kmax"] + 1))
-            with ThreadPoolExecutor(max_workers=_thread_cap()) as ex:
-                norms = list(ex.map(lambda k: ab.bump_norms(fam, k), ks))
-            rows = _ratio_rows(ks, norms)
+        fams = [ab.BumpFamily(s=s, resolution=b["resolution"])
+                for s in b["s_values"]]
+        ks = list(range(0, b["kmax"] + 1))
+        tex = ab.TraceExample()
+        tks = list(range(1, b["trace_kmax"] + 1))
+        jobs = ([(ab.bump_norms, fam, k) for fam in fams for k in ks]
+                + [(ab.trace_norms, tex, k) for k in tks])
+        with ThreadPoolExecutor(max_workers=_thread_cap()) as ex:
+            futures = [ex.submit(fn, member, k) for fn, member, k in jobs]
+            try:
+                norms = [fut.result() for fut in futures]
+            except Exception:
+                # the first failure in input order is reported; drop the queue
+                ex.shutdown(cancel_futures=True)
+                raise
+        for i, s in enumerate(b["s_values"]):
+            rows = _ratio_rows(ks, norms[i * len(ks):(i + 1) * len(ks)])
             path = os.path.join(outdir, f"bump_s{s:g}.csv")
             write_norms_csv(path, rows)
             outputs.append(path)
@@ -487,9 +501,7 @@ def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
             good = worst_l2 <= b["bump_tol"] and worst_hs <= b["bump_tol"]
             verdicts[f"bump_s{s:g}"] = "pass" if good else "fail"
             ok &= good
-        tex = ab.TraceExample()
-        ks = range(1, b["trace_kmax"] + 1)
-        rows = _ratio_rows(ks, [ab.trace_norms(tex, k) for k in ks])
+        rows = _ratio_rows(tks, norms[len(fams) * len(ks):])
         tr_ok = all(abs(r[3] / ab.TRACE_L2_RATIO - 1) <= b["trace_tol"]
                     and abs(r[4] / ab.TRACE_HHALF_RATIO - 1) <= b["trace_tol"]
                     for r in rows[1:])

@@ -2,13 +2,14 @@
 
 These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
-intervals, and a plain double-midpoint sum for the Gagliardo forms.
+intervals, a plain double-midpoint sum for the Gagliardo forms, and the
+full-matrix H^(1/2) sum on a nonuniform partition.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,3 +92,34 @@ def brute_clean_intervals(x: np.ndarray, values: np.ndarray, rho: float,
 def trapz(y: np.ndarray, h: float) -> float:
     return float(np.trapezoid(y, dx=h)) if hasattr(np, "trapezoid") \
         else float(np.trapz(y, dx=h))
+
+
+def dense_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
+                        skip: Optional[np.ndarray] = None) -> float:
+    """Gagliardo H^(1/2) double sum on a nonuniform partition, as full m x m
+    matrices: exact 1/(x-y)^2 cell masses for separated pairs, the midpoint
+    product for adjacent pairs, exact one-sided tail masses for the exterior
+    (where f = 0), and ``skip`` cells left out."""
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    widths = np.diff(edges)
+    a, b = edges[:-1], edges[1:]
+    m = mids.size
+    A2, B2 = a[None, :], b[None, :]
+    A1, B1 = a[:, None], b[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.log(np.abs((A2 - A1) * (B2 - B1))
+                      / np.abs((A2 - B1) * (B2 - A1)))
+    off = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    adj = off <= 1
+    mass[adj] = 0.0
+    dmat = np.abs(mids[:, None] - mids[None, :])
+    with np.errstate(divide="ignore"):
+        adj_mass = np.where(off == 1, widths[:, None] * widths[None, :]
+                            / np.maximum(dmat, 1e-300) ** 2, 0.0)
+    mass = mass + adj_mass
+    keep = np.ones(m, bool) if skip is None else ~skip
+    diffs = (f_mid[:, None] - f_mid[None, :]) ** 2
+    total = float(np.sum(diffs * mass * keep[:, None] * keep[None, :]))
+    ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)
+                       * (1.0 / (edges[-1] - mids) + 1.0 / (mids - edges[0])))
+    return math.sqrt(max(total + float(ext), 0.0))

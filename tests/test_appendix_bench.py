@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from nlhet import appendix_bench as ab
 from nlhet.appendix_bench import (BUMP_L2_RATIO, TRACE_HHALF_RATIO,
                                   TRACE_L2_RATIO, BumpFamily, ResolutionError,
                                   TraceExample, bump_hs_ratio, bump_norms,
                                   psibar_seminorm, superposition_eval,
                                   superposition_tail_witness, trace_norms)
+
+from oracles import dense_half_seminorm
 
 
 class TestBumpFamily:
@@ -107,6 +110,31 @@ class TestTraceFamily:
         base = psibar_seminorm(tex, points_per_decade=48)
         fine = psibar_seminorm(tex, points_per_decade=192)
         assert abs(fine - base) / base < 0.10
+
+    def test_blocked_sum_matches_dense_oracle_on_members(self, monkeypatch):
+        tex = TraceExample()
+        blocked = [trace_norms(tex, k) for k in (1, 2, 3)]
+        monkeypatch.setattr(ab, "_nonuniform_half_seminorm", dense_half_seminorm)
+        for k, (l2, hs) in zip((1, 2, 3), blocked):
+            l2_d, hs_d = trace_norms(tex, k)
+            assert l2 == l2_d
+            assert hs == pytest.approx(hs_d, rel=1e-12)
+
+    def test_blocked_sum_matches_dense_oracle_on_psibar(self, monkeypatch):
+        tex = TraceExample()
+        blocked = psibar_seminorm(tex, points_per_decade=48)
+        monkeypatch.setattr(ab, "_nonuniform_half_seminorm", dense_half_seminorm)
+        assert blocked == pytest.approx(psibar_seminorm(tex, 48), rel=1e-12)
+
+    def test_blocked_sum_matches_dense_oracle_with_skip(self):
+        # 300 cells: two full row blocks and a partial one
+        rng = np.random.default_rng(5)
+        edges = np.cumsum(rng.uniform(0.01, 1.0, 301)) - 40.0
+        f = rng.normal(size=300)
+        skip = rng.uniform(size=300) < 0.1
+        for sk in (None, skip):
+            assert ab._nonuniform_half_seminorm(edges, f, sk) == pytest.approx(
+                dense_half_seminorm(edges, f, sk), rel=1e-12)
 
     def test_psibar_unbounded_near_origin_zero_outside(self):
         # the doubly-logarithmic growth is slow but unbounded

@@ -485,6 +485,19 @@ class TestBench:
                      "[bench]\ns_values = 0.3\nkmax = 40\nresolution = 2001\n")
         assert main(["bench-appendix", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path, "b.ini",
+                     "[bench]\ns_values = 0.3, 0.4\nkmax = 4\n"
+                     "resolution = 2001\ntrace_kmax = 3\n")
+        names = ["bump_s0.3.csv", "bump_s0.4.csv", "trace.csv"]
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NLHET_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert main(["bench-appendix", cfg, "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes() for name in names])
+        assert outs[0] == outs[1]
+
     def test_thread_cap_env_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLHET_THREADS", "1")
         cfg = _write(tmp_path, "b.ini",

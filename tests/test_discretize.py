@@ -282,3 +282,73 @@ class TestSeminormAndBilinear:
             if vk + vl2 > 0:
                 worst = max(worst, abs(B) / (refC1 * (vk + vl2)))
         assert 0 < worst < np.inf
+
+
+def _four_conv_pair_sum(ws, f, g, mx, my):
+    """The masked pair sum with its four convolutions written out."""
+    f = f - f.mean()
+    g = g - g.mean()
+    cx = mx.astype(np.float64)
+    cy = my.astype(np.float64)
+    t1 = np.sum(f * g * cx * ws.conv(cy))
+    t2 = np.sum(f * g * cy * ws.conv(cx))
+    t3 = np.sum(f * cx * ws.conv(g * cy))
+    t4 = np.sum(g * cx * ws.conv(f * cy))
+    return float(t1 + t2 - t3 - t4)
+
+
+class TestSharedConvolutions:
+    """bilinear_form shares convolutions between coinciding terms of the
+    masked pair sum; the value stays the four-convolution sum, bit for bit."""
+
+    G = Grid(R=10.0, n=401)
+
+    def _bump(self, seed):
+        rng = np.random.default_rng(seed)
+        x = self.G.x
+        vals = np.exp(-(x - rng.uniform(-3, 3)) ** 2) * rng.uniform(0.5, 2)
+        return Profile(self.G, vals, 0.0, 0.0)
+
+    def _expected(self, f, g, I, J):
+        ws = workspace_for(KER, self.G)
+        x, h = self.G.x, self.G.h
+        mI = (x >= I[0] - 1e-9 * h) & (x <= I[1] + 1e-9 * h)
+        mJ = (x >= J[0] - 1e-9 * h) & (x <= J[1] + 1e-9 * h)
+        total = h * _four_conv_pair_sum(ws, f.values, g.values, mI, mJ)
+        if I == J == WHOLE_LINE:   # window x tail blocks, far fields 0
+            for _ in range(2):
+                total += h * float(np.sum((f.values * g.values * ws.Wl)[mI]))
+                total += h * float(np.sum((f.values * g.values * ws.Wr)[mI]))
+        return total
+
+    def _count(self, monkeypatch, f, g, I, J):
+        workspace_for(KER, self.G)   # build (and convolve rho) before counting
+        calls = []
+        conv = Workspace.conv
+        monkeypatch.setattr(Workspace, "conv",
+                            lambda ws, v: calls.append(1) or conv(ws, v))
+        value = bilinear_form(f, g, I, J, KER)
+        monkeypatch.undo()
+        return value, len(calls)
+
+    @pytest.mark.parametrize("I, J, same_f, convs", [
+        (WHOLE_LINE, WHOLE_LINE, True, 1),
+        ((-4.0, 6.0), (-4.0, 6.0), True, 2),
+        ((-4.0, 6.0), (-8.0, 2.0), True, 4),
+        ((-4.0, 6.0), (-8.0, 2.0), False, 4),
+        ((-4.0, 6.0), (-4.0, 6.0), False, 3),
+        (WHOLE_LINE, WHOLE_LINE, False, 2),
+    ])
+    def test_equals_four_convolution_sum(self, monkeypatch, I, J, same_f, convs):
+        f = self._bump(1)
+        g = f if same_f else self._bump(2)
+        value, count = self._count(monkeypatch, f, g, I, J)
+        assert value == self._expected(f, g, I, J)
+        assert count == convs
+
+    def test_equal_values_in_distinct_profiles_share_t3(self, monkeypatch):
+        f = self._bump(1)
+        g = Profile(self.G, f.values.copy(), 0.0, 0.0)
+        value, count = self._count(monkeypatch, f, g, WHOLE_LINE, WHOLE_LINE)
+        assert value == self._expected(f, f, WHOLE_LINE, WHOLE_LINE)
+        assert count == 1

@@ -18,6 +18,7 @@ import math
 import os
 import socket
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
@@ -76,10 +77,13 @@ def write_profile_csv(path: str, Q: Profile, ref: Profile) -> None:
 
 def read_profile_csv(path: str):
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        x = np.asarray(data["x"], float)
-        q = np.asarray(data["Q"], float)
-        ref = np.asarray(data["Qsharp"], float)
+        with open(path) as fh:
+            names = [name.strip() for name in fh.readline().split(",")]
+        cols = [names.index(name) for name in ("x", "Q", "Qsharp")]
+        with warnings.catch_warnings():  # no rows: the size check below says so
+            warnings.simplefilter("ignore", UserWarning)
+            x, q, ref = np.loadtxt(path, delimiter=",", skiprows=1,
+                                   usecols=cols, ndmin=2, unpack=True)
     except Exception as e:
         raise ValueError(f"profile CSV schema mismatch: {e}") from e
     if x.ndim != 1 or x.size < 3 or x.size % 2 == 0:
@@ -87,9 +91,8 @@ def read_profile_csv(path: str):
     grid = Grid(R=float(abs(x[0])), n=x.size)
     if not np.allclose(grid.x, x, atol=1e-9):
         raise ValueError("profile CSV nodes are not a symmetric uniform grid")
-    Q = Profile(grid, q, float(ref[0]), float(ref[-1]))
-    refp = Profile(grid, ref, float(ref[0]), float(ref[-1]))
-    return Q, refp
+    lc, rc = float(ref[0]), float(ref[-1])
+    return Profile(grid, q, lc, rc), Profile(grid, ref, lc, rc)
 
 
 def write_obstacles_csv(path: str, pair: ObstaclePair) -> None:

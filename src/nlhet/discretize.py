@@ -207,14 +207,6 @@ class Workspace:
         full = np.fft.irfft(ff * self._ker_f, self._L)
         return full[self._n - 1:2 * self._n - 1].copy()
 
-    def offset_weight(self, m: np.ndarray) -> np.ndarray:
-        """w_{|m|} with w_0 = 0, for integer offsets."""
-        m = np.abs(np.asarray(m))
-        out = np.zeros(m.shape, dtype=np.float64)
-        nz = (m > 0) & (m <= self.w.size)
-        out[nz] = self.w[m[nz] - 1]
-        return out
-
 
 _WS_CACHE: dict = {}
 

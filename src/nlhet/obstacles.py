@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .discretize import Grid, Profile, workspace_for
+from .discretize import Grid, Profile, Workspace, workspace_for
 from .model import ProblemSpec, potential_eval_grad
 
 __all__ = [
@@ -115,61 +116,67 @@ def _band_indices(grid: Grid, cfg: ObstacleConfig) -> np.ndarray:
     return np.where((x > cfg.b1 - cfg.tau) & (x < cfg.b2 + cfg.tau))[0]
 
 
-def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
-                  eta: float, sign: int) -> Profile:
-    """Solve the mixed local/nonlocal Dirichlet problem for one barrier.
+def _band_matrix(ws: Workspace, band: np.ndarray, c: float) -> np.ndarray:
+    """Band block -w_|i-j| + diag from one kernel row, plus the eta stencil c."""
+    nb = band.size
+    wb = ws.w[:nb - 1]
+    A = sliding_window_view(-np.concatenate([wb[::-1], [0.0], wb]), nb)[::-1].copy()
+    A.flat[::nb + 1] += ws.diag[band]
+    if c > 0:   # the band is contiguous: the stencil stays on two off-diagonals
+        A.flat[::nb + 1] += 2 * c
+        A.flat[1::nb + 1] -= c
+        A.flat[nb::nb + 1] -= c
+    return A
 
-    Assembles the dense band system with the same quadrature weights as the
-    operator application and solves it directly: the band block is Toeplitz
-    in the kernel masses, and the exterior data couple in through one
-    convolution of the data with the band zeroed.  The linear residual must
-    come out below 1e-8 * C0; a numerically singular system raises
-    BarrierSolveError carrying a condition estimate.
+
+def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
+                  eta: float) -> Tuple[Profile, Profile]:
+    """Solve the mixed local/nonlocal Dirichlet problem for (phi, psi).
+
+    The band block of the dense system uses the operator's quadrature weights
+    and is Toeplitz, built from one kernel row; the exterior data couple in
+    through one convolution of the data with the band zeroed.  One
+    factorization serves both barriers (right-hand sides of sign +1 and -1).
+    The linear residual must come out below 1e-8 * C0; a numerically
+    singular system raises BarrierSolveError carrying a condition estimate.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 (upper) or -1 (lower)")
     if grid.R < max(abs(cfg.b1), abs(cfg.b2)) + 2 * cfg.tau + 1:
         raise ValueError("grid window must contain [b1-2tau-1, b2+2tau+1]")
     r = cfg.resolve_r(spec)
     C0 = compute_rhs_constant(spec)
-    gl = spec.potential.zeta1 + sign * r
-    gr = spec.potential.zeta2 + sign * r
     ws = workspace_for(spec.kernel, grid)
-    x, h = grid.x, grid.h
     band = _band_indices(grid, cfg)
     if band.size == 0:
         raise ValueError("band contains no grid nodes; refine the grid or widen tau")
-    uext = np.where(x <= cfg.b1 - cfg.tau, gl, gr)
-    # the band is a contiguous run of nodes strictly inside the window, so
-    # its eta neighbours are the next band node or band[0] - 1, band[-1] + 1
-    A = -ws.offset_weight(band[:, None] - band[None, :])
-    idx = np.arange(band.size)
-    A[idx, idx] += ws.diag[band]
-    b = np.full(band.size, sign * C0)
-    b += ws.Wl[band] * gl + ws.Wr[band] * gr
-    outside = uext.copy()
-    outside[band] = 0.0
-    b += ws.conv(outside)[band]
-    if eta > 0:
-        c = eta / h ** 2
-        A[idx, idx] += 2 * c
-        A[idx[:-1], idx[1:]] -= c
-        A[idx[1:], idx[:-1]] -= c
-        b[0] += c * uext[band[0] - 1]
-        b[-1] += c * uext[band[-1] + 1]
+    c = eta / grid.h ** 2
+    A = _band_matrix(ws, band, c)
+    B = np.empty((band.size, 2))
+    pair = []
+    for k, sign in enumerate((+1, -1)):
+        gl = spec.potential.zeta1 + sign * r
+        gr = spec.potential.zeta2 + sign * r
+        u = np.where(grid.x <= cfg.b1 - cfg.tau, gl, gr)
+        b = np.full(band.size, sign * C0)
+        b += ws.Wl[band] * gl + ws.Wr[band] * gr
+        outside = u.copy()
+        outside[band] = 0.0
+        b += ws.conv(outside)[band]
+        b[0] += c * gl  # the eta neighbours of the band ends hold gl and gr
+        b[-1] += c * gr
+        B[:, k] = b
+        pair.append(Profile(grid, u, gl, gr))
     try:
-        u = np.linalg.solve(A, b)
+        U = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as e:
         raise BarrierSolveError(
             f"singular barrier system (cond ~ {np.linalg.cond(A):.3e})") from e
-    res = float(np.abs(A @ u - b).max())
+    res = float(np.abs(A @ U - B).max())
     if res > 1e-8 * C0:
         raise BarrierSolveError(
             f"barrier residual {res:.3e} exceeds 1e-8*C0 "
             f"(cond ~ {np.linalg.cond(A):.3e})")
-    vals = uext.astype(np.float64).copy()
-    vals[band] = u
-    return Profile(grid, vals, gl, gr)
+    pair[0].values[band], pair[1].values[band] = U.T
+    return pair[0], pair[1]
 
 
 # --------------------------------------------------------------------------
@@ -298,9 +305,7 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
 def barrier_pair(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
                  eta: float) -> ObstaclePair:
     """Upper and lower barriers at viscosity eta and their envelope pair."""
-    phi = solve_barrier(spec, cfg, grid, eta, +1)
-    psi = solve_barrier(spec, cfg, grid, eta, -1)
-    return build_envelopes(phi, psi, cfg, eta)
+    return build_envelopes(*solve_barrier(spec, cfg, grid, eta), cfg, eta)
 
 
 def _verify_clauses(pair: ObstaclePair, tol: float = 1e-9) -> None:

@@ -404,6 +404,47 @@ class TestCsvWriters:
         assert path.read_text() == _per_value("x,log_abs_dev", rows)
 
 
+class TestProfileReader:
+    def test_columns_match_genfromtxt_oracle(self, solved):
+        code, tmp, cfg, out = solved
+        path = str(out / "profile.csv")
+        Q, ref = read_profile_csv(path)
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        assert Q.grid == Grid(R=float(abs(data["x"][0])), n=data.size)
+        for got, col in ((Q.values, "Q"), (ref.values, "Qsharp")):
+            assert np.array_equal(got.view(np.uint64), data[col].view(np.uint64))
+        assert (Q.left_const, Q.right_const) == (data["Qsharp"][0],
+                                                 data["Qsharp"][-1])
+
+    def test_columns_found_by_name(self, solved, tmp_path):
+        code, tmp, cfg, out = solved
+        path = str(out / "profile.csv")
+        lines = (out / "profile.csv").read_text().splitlines()
+        order = [3, 2, 0, 1]  # v, Qsharp, x, Q
+        moved = tmp_path / "moved.csv"
+        moved.write_text("\n".join(",".join(line.split(",")[k] for k in order)
+                                    for line in lines) + "\n")
+        assert moved.read_text().startswith("v,Qsharp,x,Q\n")
+        Q0, ref0 = read_profile_csv(path)
+        Q1, ref1 = read_profile_csv(str(moved))
+        assert np.array_equal(Q0.values, Q1.values)
+        assert np.array_equal(ref0.values, ref1.values)
+        assert Q0.grid == Q1.grid
+
+    def test_missing_column_raises(self, tmp_path):
+        bad = tmp_path / "noqsharp.csv"
+        bad.write_text("x,Q,v\n-1,0,0\n0,1,0\n1,2,0\n")
+        with pytest.raises(ValueError, match="schema mismatch"):
+            read_profile_csv(str(bad))
+
+    def test_header_only_raises(self, tmp_path, recwarn):
+        bad = tmp_path / "empty.csv"
+        bad.write_text("x,Q,Qsharp,v\n")
+        with pytest.raises(ValueError, match="odd number"):
+            read_profile_csv(str(bad))
+        assert not recwarn.list
+
+
 class TestLayerMatch:
     def test_shifted_layer_inside_half_window(self):
         # outside |x| <= R/2 the profile is clamped to the wells, where the

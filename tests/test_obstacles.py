@@ -6,9 +6,11 @@ import pytest
 
 from nlhet.discretize import Grid, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
-from nlhet.obstacles import (EnvelopeClauseError, ObstacleConfig, band_check,
-                             build_envelopes, compute_rhs_constant,
-                             faithful_barriers, solve_barrier)
+from nlhet.obstacles import (BarrierSolveError, EnvelopeClauseError,
+                             ObstacleConfig, _band_matrix, band_check,
+                             barrier_pair, build_envelopes,
+                             compute_rhs_constant, faithful_barriers,
+                             solve_barrier)
 from nlhet.solver import SolverError, _Stage
 
 from conftest import homogeneous_spec, modulated_spec, reference_on
@@ -22,8 +24,7 @@ def barrier_setup():
     grid = Grid(R=120.0, n=4801)
     cfg = ObstacleConfig(b1=-4 * math.pi, b2=4 * math.pi, tau=0.1)
     eta = 1e-2
-    phi = solve_barrier(spec, cfg, grid, eta, +1)
-    psi = solve_barrier(spec, cfg, grid, eta, -1)
+    phi, psi = solve_barrier(spec, cfg, grid, eta)
     pair = build_envelopes(phi, psi, cfg, eta)
     return spec, grid, cfg, phi, psi, pair
 
@@ -60,8 +61,7 @@ class TestSolveBarrier:
                            ModulationSpec(form="constant", base=1.0))
         grid = Grid(R=60.0, n=2401)
         cfg = ObstacleConfig(b1=-6.0, b2=6.0, tau=0.1)
-        phi = solve_barrier(spec, cfg, grid, 1e-2, +1)
-        psi = solve_barrier(spec, cfg, grid, 1e-2, -1)
+        phi, psi = solve_barrier(spec, cfg, grid, 1e-2)
         reflected = -phi.values[::-1]
         assert np.max(np.abs(psi.values - reflected)) < 1e-9
 
@@ -88,20 +88,69 @@ class TestSolveBarrier:
         rhs = sign * compute_rhs_constant(spec) + ws.Wl * gl + ws.Wr * gr
         rhs = rhs[band] - M[np.ix_(band, ~band)] @ u[~band]
         u[band] = np.linalg.solve(M[np.ix_(band, band)], rhs)
-        got = solve_barrier(spec, cfg, grid, eta, sign)
+        got = solve_barrier(spec, cfg, grid, eta)[0 if sign > 0 else 1]
         assert np.max(np.abs(got.values - u)) <= 1e-10 * np.max(np.abs(u))
 
     def test_window_must_contain_band(self):
         spec = homogeneous_spec()
         with pytest.raises(ValueError):
             solve_barrier(spec, ObstacleConfig(b1=-50.0, b2=50.0), Grid(R=40.0, n=401),
-                          0.0, +1)
+                          0.0)
 
-    def test_bad_sign_rejected(self):
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    def test_one_row_band_matrix_matches_elementwise_assembly(self, eta):
+        # the Toeplitz block from one kernel row equals the elementwise
+        # assembly from the full offset table, bit for bit
+        spec = modulated_spec()
+        grid = Grid(R=30.0, n=601)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        ws = workspace_for(spec.kernel, grid)
+        n = grid.n
+        band = np.where((grid.x > cfg.b1 - cfg.tau) & (grid.x < cfg.b2 + cfg.tau))[0]
+        wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
+        ref = -wfull[band[:, None] - band[None, :] + n - 1]
+        idx = np.arange(band.size)
+        ref[idx, idx] += ws.diag[band]
+        c = eta / grid.h ** 2
+        if eta > 0:
+            ref[idx, idx] += 2 * c
+            ref[idx[:-1], idx[1:]] -= c
+            ref[idx[1:], idx[:-1]] -= c
+        got = _band_matrix(ws, band, c)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_one_factorization_per_pair(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+
+        def counting(A, B):
+            calls.append(B.shape)
+            return real(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
         spec = homogeneous_spec()
-        with pytest.raises(ValueError):
-            solve_barrier(spec, ObstacleConfig(b1=-4, b2=4), Grid(R=40.0, n=401),
-                          0.0, 2)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        barrier_pair(spec, cfg, Grid(R=40.0, n=401), 1e-2)
+        assert len(calls) == 1 and calls[0][1] == 2
+
+    def test_singular_system_raises_with_condition(self, monkeypatch):
+        def singular(A, B):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        spec = homogeneous_spec()
+        with pytest.raises(BarrierSolveError, match=r"singular.*cond ~ \d"):
+            solve_barrier(spec, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
+                          Grid(R=40.0, n=401), 0.0)
+
+    def test_residual_gate_raises(self, monkeypatch):
+        # a solve that returns zeros leaves the residual |B| >= C0
+        monkeypatch.setattr(np.linalg, "solve", lambda A, B: np.zeros_like(B))
+        spec = homogeneous_spec()
+        with pytest.raises(BarrierSolveError, match=r"exceeds 1e-8\*C0"):
+            solve_barrier(spec, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
+                          Grid(R=40.0, n=401), 0.0)
 
 
 class TestEnvelopes:
@@ -156,8 +205,7 @@ class TestEnvelopes:
         spec = modulated_spec()
         grid = Grid(R=120.0, n=1201)  # h = 0.2
         cfg = ObstacleConfig(b1=-4 * math.pi, b2=4 * math.pi, tau=0.05)
-        phi = solve_barrier(spec, cfg, grid, 1e-2, +1)
-        psi = solve_barrier(spec, cfg, grid, 1e-2, -1)
+        phi, psi = solve_barrier(spec, cfg, grid, 1e-2)
         with pytest.raises(EnvelopeClauseError, match="collar"):
             build_envelopes(phi, psi, cfg, 1e-2)
 

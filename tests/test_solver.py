@@ -314,8 +314,8 @@ def small_run():
 
 class TestBarrierCache:
     def test_each_barrier_solved_once(self, monkeypatch):
-        # the barrier problem does not involve mu, so one (eta, sign) solve
-        # serves every mu stage
+        # the barrier problem does not involve mu, so one solve per eta
+        # (both signs at once) serves every mu stage
         spec = homogeneous_spec()
         grid = Grid(R=40.0, n=401)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
@@ -324,14 +324,13 @@ class TestBarrierCache:
         real = obstacles.solve_barrier
         keys = []
 
-        def counting(spec, cfg, grid, eta, sign):
-            keys.append((eta, sign))
-            return real(spec, cfg, grid, eta, sign)
+        def counting(spec, cfg, grid, eta):
+            keys.append(eta)
+            return real(spec, cfg, grid, eta)
 
         monkeypatch.setattr(obstacles, "solve_barrier", counting)
         res = continuation_run(spec, grid, cfg, sched, SolverConfig())
-        assert sorted(keys) == sorted((eta, sign) for eta in sched.etas()
-                                      for sign in (+1, -1))
+        assert sorted(keys) == sorted(sched.etas())
         assert len(res.stages) == 7
         assert res.pair.eta == 0.0
 

@@ -238,7 +238,8 @@ def cmd_verify_model(cfg: RunConfig, outdir: Optional[str]) -> int:
 
 def _layer_match(Q: Profile, report_cfg: dict) -> Optional[dict]:
     """L-inf distance on |x| <= R/2 to the best-shift explicit layer
-    pi + 2 arctan(x - c) (homogeneous anchor).
+    pi + 2 sgn arctan(x - c) (homogeneous anchor), with sgn the sign of
+    the far-field rise, so a profile that falls is matched too.
 
     The outer half of the window is left out: there the profile sits on the
     wells while the layer is still 2/|x| away from them.  The shift comes
@@ -249,10 +250,11 @@ def _layer_match(Q: Profile, report_cfg: dict) -> Optional[dict]:
         return None
     sel = np.abs(Q.x) <= Q.grid.R / 2
     x, q = Q.x[sel], Q.values[sel]
+    sgn = 1.0 if Q.right_const >= Q.left_const else -1.0
 
     def dist(c):
         c = np.atleast_1d(c)[:, None]
-        return np.abs(q - (np.pi + 2 * np.arctan(x - c))).max(axis=1)
+        return np.abs(q - (np.pi + 2 * sgn * np.arctan(x - c))).max(axis=1)
 
     shifts = np.linspace(-10, 10, 201)
     # 8 shifts per block: larger blocks raise the peak RSS of a solve
@@ -332,7 +334,6 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
                 "contact_count": len(result.contact),
                 "monotone": result.monotone,
                 "iterations": result.iterations,
-                "flipped": result.flipped,
                 "stages": [vars(s) for s in result.stages],
                 "energy": {
                     "viscous": result.breakdown.viscous,
@@ -390,7 +391,7 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
         print(f"profile schema error: {e}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(outdir, exist_ok=True)
-    spec, _ = cfg.spec.canonical()
+    spec = cfg.spec
     pot = spec.potential
     wells = (pot.zeta1, pot.zeta2)
     d = cfg.diagnostics

@@ -236,7 +236,9 @@ def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
     The lower bound is min(inf_I(-|d2 Phi| + L Phi), inf_I f) and the upper
     bound max(sup_I(|d2 Psi| + L Psi), sup_I f) with the force
     f = -a W'(Q) - mu (Q - ref).  Envelope second derivatives are sampled by
-    central differences; the O(h) noise budget lives in ``slack``.
+    central differences; the O(h) noise budget lives in ``slack``.  It
+    passes only when both gaps are nonnegative and Q is admissible, that is
+    Psi <= Q <= Phi at every node.
     """
     grid = Q.grid
     ws = workspace_for(spec.kernel, grid)
@@ -266,7 +268,7 @@ def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
     adm = bool(np.all(Q.values >= pair.Psi.values - 1e-9)
                and np.all(Q.values <= pair.Phi.values + 1e-9))
     return LSReport((float(I[0]), float(I[1])), lower, upper, gap_low, gap_high,
-                    slack, adm, bool(gap_low >= 0 and gap_high >= 0))
+                    slack, adm, bool(adm and gap_low >= 0 and gap_high >= 0))
 
 
 # --------------------------------------------------------------------------

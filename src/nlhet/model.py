@@ -396,26 +396,6 @@ class ProblemSpec:
     def s(self) -> float:
         return self.kernel.s
 
-    def canonical(self) -> Tuple["ProblemSpec", bool]:
-        """Return an orientation-normalized spec (zeta1 < zeta2) and a flip flag.
-
-        If zeta1 > zeta2 the problem is reflected through u -> -u, which maps
-        wells to their negatives and preserves the equation; callers undo the
-        flip on outputs.
-        """
-        if self.potential.zeta1 < self.potential.zeta2:
-            return self, False
-        pot = self.potential
-        if pot.form == "tabulated":
-            newpot = replace(pot, zeta1=-pot.zeta1, zeta2=-pot.zeta2,
-                             table_u=-pot.table_u[::-1].copy(),
-                             table_W=pot.table_W[::-1].copy())
-        else:
-            newpot = replace(pot, zeta1=-pot.zeta1, zeta2=-pot.zeta2)
-        ref = self.reference
-        newref = replace(ref, zeta1=-ref.zeta1, zeta2=-ref.zeta2)
-        return replace(self, potential=newpot, reference=newref), True
-
 
 # --------------------------------------------------------------------------
 # structural validation

@@ -290,8 +290,8 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
     # (and sink the lower one below), keeping C^2 junctions at b1, b2
     mid_rise = min(2.0, (cfg.b2 - cfg.b1) / 4.0)
     midzone = _bump(x, cfg.b1, cfg.b2, mid_rise)
-    up_lvl = max(zeta2 + 2 * r, float(phic.values[mid].max()) + r / 4.0)
-    dn_lvl = min(zeta1 - 2 * r, float(psic.values[mid].min()) - r / 4.0)
+    up_lvl = max(max(zeta1, zeta2) + 2 * r, float(phic.values[mid].max()) + r / 4.0)
+    dn_lvl = min(min(zeta1, zeta2) - 2 * r, float(psic.values[mid].min()) - r / 4.0)
     Phi_v = Phi_v + np.clip(up_lvl - phic.values, 0.0, None) * midzone
     Psi_v = Psi_v - np.clip(psic.values - dn_lvl, 0.0, None) * midzone
 

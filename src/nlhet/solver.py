@@ -15,12 +15,14 @@ discrete energy gradient, so at free nodes the Euler-Lagrange residual is
 bounded by grad_tol / h at convergence.
 
 The continuation runs one list of (mu, eta) stages with warm starts: every
-eta down to 0 for each penalty weight mu, then an unpenalized polish (mu = 0,
-well clamp only).  The completed stages and their trace rows are all that a
-resumed run needs to continue exactly.  The far-field limit check
-certifies the result: the deviation from each well on the outer quarter of
-the window must stay below the limit tolerance and its running maximum must
-shrink toward the window edge.
+eta down to 0 for each positive penalty weight mu, then always an
+unpenalized polish (mu = eta = 0, well clamp only).  The problem is solved
+in the orientation it is given in: the left far field is zeta1 and the right
+one zeta2, whichever well is the larger.  The completed stages and their
+trace rows are all that a resumed run needs to continue exactly.  The
+far-field limit check certifies the result: the deviation from each well on
+the outer quarter of the window must stay below the limit tolerance and its
+running maximum must shrink toward the window edge.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .discretize import (Grid, Profile, operator_field, operator_linear,
                          reference_profile, workspace_for)
-from .energy import EnergyBreakdown
+from .energy import EnergyBreakdown, _check_far_fields
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
                     verify_model)
 from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
@@ -109,8 +111,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    """Decreasing eta and mu sequences; a single trailing 0 marks the final
-    unregularized stage of each loop (appended automatically if missing)."""
+    """Decreasing eta and mu sequences.  The trailing 0 of each is implied:
+    every mu runs the etas down to 0, and the run always ends with the
+    (mu, eta) = (0, 0) polish, whether or not the sequences list the 0."""
 
     eta_seq: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 0.0)
     mu_seq: Tuple[float, ...] = (1e-1, 2e-2, 5e-3, 0.0)
@@ -119,7 +122,6 @@ class ContinuationSchedule:
         for name, seq in (("eta_seq", self.eta_seq), ("mu_seq", self.mu_seq)):
             if len(seq) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            pos = [v for v in seq if v != 0.0]
             if any(v < 0 for v in seq):
                 raise ValueError(f"{name} entries must be >= 0")
             if any(b >= a for a, b in zip(seq, seq[1:])):
@@ -136,9 +138,6 @@ class ContinuationSchedule:
 
     def mus_positive(self) -> Tuple[float, ...]:
         return tuple(v for v in self.mu_seq if v > 0.0)
-
-    def final_polish(self) -> bool:
-        return self.mu_seq[-1] == 0.0
 
 
 @dataclass
@@ -161,7 +160,6 @@ class SolveResult:
     contact: List[Tuple[int, float, str]]
     trace: List[Tuple]
     pair: Optional[ObstaclePair] = None  # the pair the contact report used
-    flipped: bool = False
     stages: List[StageRecord] = field(default_factory=list)
     stationarity: float = 0.0
     iterations: int = 0
@@ -254,7 +252,7 @@ class _Stage:
         visc = 0.5 * self.eta * float(np.sum(dv * dv)) * h
         pen = 0.5 * self.mu * float(np.sum(v ** 2 * self.tw))
         pot = float(np.sum(self.a * W * self.tw))
-        svv = 2 * h * (float(np.sum(v * v * self.ws.diag)) - float(np.sum(v * cv)))
+        svv = self.seminorm_sq(v, cv)
         svr = 2 * h * float(np.sum(v * self.w_ref))
         inter = 0.25 * (svv + 2.0 * svr)
         pieces = (visc, pen, pot, inter)
@@ -264,6 +262,11 @@ class _Stage:
                     f"non-finite {term} energy ({val}) at a trial point "
                     f"(eta={self.eta:g}, mu={self.mu:g})", term)
         return pieces, (cv, Wp)
+
+    def seminorm_sq(self, v: np.ndarray, cv: np.ndarray) -> float:
+        """Whole-line [v]^2_K of a v with zero far fields, given cv = conv(v)."""
+        return 2 * self.h * (float(np.sum(v * v * self.ws.diag))
+                             - float(np.sum(v * cv)))
 
     def evaluate(self, q: np.ndarray) -> Tuple[Tuple[float, float, float, float],
                                                np.ndarray]:
@@ -510,6 +513,9 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                                             np.ndarray]] = None) -> SolveResult:
     """Full double continuation ending in a residual-certified heteroclinic.
 
+    The stages are every (mu, eta) of ``schedule`` with mu > 0, then the
+    (0, 0) polish.  Everything, the resume input, the callback's values and
+    the result, is in the caller's orientation (left far field zeta1).
     Raises NonConvergenceError (with the offending tail samples) when the
     far-field limit check fails on the final profile.  After each stage
     ``stage_callback`` receives new (stage records, trace rows, Q values);
@@ -517,7 +523,6 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     """
     schedule = schedule or ContinuationSchedule()
     solver_cfg = solver_cfg or SolverConfig()
-    spec, flipped = spec.canonical()
     report = verify_model(spec)
     if not report.all_passed:
         failed = [c.name for c in report if not c.passed]
@@ -528,14 +533,12 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     ref = reference_profile(spec, grid)
 
     plan = [(mu, eta) for mu in schedule.mus_positive() for eta in schedule.etas()]
-    if schedule.final_polish():
-        plan.append((0.0, 0.0))  # well clamp only
+    plan.append((0.0, 0.0))  # the polish: well clamp only
     stages: List[StageRecord] = []
     trace: List[Tuple] = []
     q = ref.values
-    sign = -1.0 if flipped else 1.0  # maps either orientation to the other
     if resume is not None:
-        stages, trace, q = list(resume[0]), list(resume[1]), sign * resume[2]
+        stages, trace, q = list(resume[0]), list(resume[1]), resume[2]
 
     pairs = {}  # the barrier problem does not involve mu: one pair per eta
 
@@ -550,7 +553,7 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
         q, _, _, record = _run_stage(stage, q, solver_cfg, trace)
         stages.append(record)
         if stage_callback is not None:
-            stage_callback(list(stages), list(trace), sign * q)
+            stage_callback(list(stages), list(trace), q)
     Q = Profile(grid, q, ref.left_const, ref.right_const)
     last_pair = pair_at(0.0)  # etas() ends in 0
     contact = _contact_nodes(q, last_pair, grid)
@@ -564,17 +567,13 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                zip(x[np.abs(x) >= grid.R / 2][:8], Q.values[np.abs(x) >= grid.R / 2][:8])]
         raise NonConvergenceError(
             f"far-field limit check failed: {lim}", samples=bad)
-    mono = bool(np.all(np.diff(Q.values) >= -1e-3 * abs(pot.zeta2 - pot.zeta1)))
+    rise = pot.zeta2 - pot.zeta1
+    mono = bool(np.all(np.diff(Q.values) * np.sign(rise) >= -1e-3 * abs(rise)))
 
     stage0 = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
     bd = EnergyBreakdown(*stage0.energy_pieces(Q.values))
-    swap = {"upper": "lower", "lower": "upper"}
-    return SolveResult(profile=Profile(grid, sign * q, sign * Q.left_const,
-                                       sign * Q.right_const), breakdown=bd,
-                       residual_max=rmax,
-                       contact=[(i, x, swap[w] if flipped else w)
-                                for i, x, w in contact],
-                       trace=trace, pair=last_pair, flipped=flipped,
+    return SolveResult(profile=Q, breakdown=bd, residual_max=rmax,
+                       contact=contact, trace=trace, pair=last_pair,
                        stages=stages,
                        stationarity=stages[-1].stationarity,
                        iterations=sum(s.iterations for s in stages),
@@ -599,21 +598,22 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     implied kappa = quantity / scaling is reported and flagged only when it
     explodes past ``kappa_cap``.
     """
-    from .discretize import WHOLE_LINE, bilinear_form
-    from .energy import renormalized_interaction
     Q = result.profile
     grid = Q.grid
     if ref is None:
         ref = reference_profile(spec, grid)
+    _check_far_fields(Q, ref)
     h = grid.h
     v = Q.values - ref.values
-    vprof = Profile(grid, v, 0.0, 0.0)
     h1 = math.sqrt(float(np.sum(np.diff(v) ** 2)) / h)
-    vk = math.sqrt(max(bilinear_form(vprof, vprof, WHOLE_LINE, WHOLE_LINE,
-                                     spec.kernel), 0.0))
+    # [v]^2_K and the renormalized interaction E_R2 = [v]^2_K + 2 B(v, ref),
+    # four times the stage's interaction piece, from one trial
+    stage = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
+    pieces, (cv, _) = stage.trial(Q.values)
+    vk = math.sqrt(max(stage.seminorm_sq(v, cv), 0.0))
     vinf = float(np.abs(v).max())
     vl2 = math.sqrt(float(np.sum(v * v)) * h)
-    e2 = renormalized_interaction(Q, ref, spec)
+    e2 = 4.0 * pieces[3]
     pot = spec.potential
     zl, zh = pot.well_lo, pot.well_hi
     sandwich_ok = bool(np.all(Q.values >= zl - 1e-12) and np.all(Q.values <= zh + 1e-12))

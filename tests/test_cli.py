@@ -148,6 +148,22 @@ def solved(tmp_path_factory):
     return code, tmp, cfg, out
 
 
+CONFIG_SWAPPED = (CONFIG_SMALL.replace("zeta1 = 0.0", "zeta1 = 6.283185307179586", 1)
+                  .replace("zeta2 = 6.283185307179586", "zeta2 = 0.0", 1))
+
+
+@pytest.fixture(scope="module")
+def swapped(tmp_path_factory):
+    """CONFIG_SMALL with its wells swapped and no layer match: the profile
+    falls from 2 pi to 0."""
+    tmp = tmp_path_factory.mktemp("swapped")
+    cfg = _write(tmp, "run.ini", CONFIG_SWAPPED.replace("layer_match = true",
+                                                        "layer_match = false"))
+    out = tmp / "out"
+    code = main(["solve", cfg, "--out", str(out)])
+    return code, tmp, cfg, out
+
+
 @pytest.fixture(scope="module")
 def dead_pid():
     """The pid of a child that has exited and been reaped."""
@@ -458,6 +474,43 @@ class TestLayerMatch:
         assert rep["distance"] < 1e-6
         assert abs(rep["shift"] - 0.3) <= 1e-4
         assert rep["pass"]
+
+
+class TestSwappedWells:
+    def test_obstacles_bracket_profile(self, swapped):
+        code, tmp, cfg, out = swapped
+        assert code == 0
+        Q, _ = read_profile_csv(str(out / "profile.csv"))
+        assert Q.values[0] == 2 * math.pi and Q.values[-1] == 0.0
+        obs = np.loadtxt(out / "obstacles.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(obs[:, 0], Q.x)
+        Phi, Psi = obs[:, 3], obs[:, 4]
+        assert np.all((Psi <= Q.values) & (Q.values <= Phi))
+        assert json.loads((out / "diagnostics.json").read_text())["monotone"]
+
+    def test_diagnose_in_config_orientation(self, swapped, tmp_path):
+        code, tmp, cfg, out = swapped
+        dout = tmp_path / "diag"
+        assert main(["diagnose", str(out / "profile.csv"), cfg, "--checks",
+                     "clean,lewy-stampacchia", "--out", str(dout)]) == 0
+        rep = json.loads((dout / "diagnose.json").read_text())
+        wells = {iv["well"] for iv in rep["clean"]["intervals"]}
+        assert wells == {0.0, 2 * math.pi}
+        assert rep["lewy_stampacchia"]["admissible"]
+        assert rep["lewy_stampacchia"]["passed"]
+
+    def test_layer_match_of_falling_profile(self, solved, tmp_path):
+        # the swapped run matches pi - 2 arctan(x - c) as closely as the
+        # unswapped one matches pi + 2 arctan(x - c)
+        code, tmp, cfg, out = solved
+        cfg2 = _write(tmp_path, "swapped.ini", CONFIG_SWAPPED)
+        out2 = tmp_path / "out"
+        assert main(["solve", cfg2, "--out", str(out2)]) == 0
+        lm = json.loads((out / "diagnostics.json").read_text())["layer_match"]
+        lm2 = json.loads((out2 / "diagnostics.json").read_text())["layer_match"]
+        assert lm2["pass"]
+        assert lm2["distance"] == pytest.approx(lm["distance"], abs=1e-6)
+        assert lm2["shift"] == pytest.approx(-lm["shift"], abs=1e-6)
 
 
 class TestDiagnose:

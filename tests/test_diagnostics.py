@@ -168,6 +168,21 @@ class TestLewyStampacchia:
                                      mu=0.05, ref=ref, slack=slack)
         assert not rep.passed
 
+    def test_inadmissible_profile_fails(self, constrained):
+        # one node far outside I pushed above Phi: the gaps on I barely
+        # move, but a profile outside [Psi, Phi] cannot pass
+        spec, grid, cfg, pair, ref, res, eta = constrained
+        q = res.profile.values.copy()
+        k = int(np.argmin(np.abs(grid.x + 50.0)))
+        q[k] = pair.Phi.values[k] + 0.01
+        Qb = Profile(grid, q, res.profile.left_const, res.profile.right_const)
+        slack = 2 * (1e-8 * grid.n) / grid.h
+        rep = lewy_stampacchia_check(Qb, pair, spec, eta, (-4.0, 4.0),
+                                     mu=0.05, ref=ref, slack=slack)
+        assert rep.min_gap_low >= 0 and rep.min_gap_high >= 0
+        assert not rep.admissible
+        assert not rep.passed
+
     def test_upper_obstacle_attains_lower_bound(self, constrained):
         # substituting the upper envelope itself makes the obstacle branch of
         # the lower bound tight up to the viscous term

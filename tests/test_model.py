@@ -216,18 +216,3 @@ class TestProblemSpec:
         spec = ProblemSpec(KernelSpec(s=0.5), cosine_potential(),
                            footnote_modulation())
         assert verify_model(spec, 2000).all_passed
-
-    def test_canonical_flip(self):
-        pot = PotentialSpec(zeta1=TWO_PI, zeta2=0.0)
-        spec = ProblemSpec(KernelSpec(s=0.5), pot)
-        flipped_spec, flipped = spec.canonical()
-        assert flipped
-        assert flipped_spec.potential.zeta1 == -TWO_PI
-        assert flipped_spec.potential.zeta2 == 0.0
-        W0, _ = potential_eval_grad(flipped_spec.potential, -TWO_PI)
-        assert W0 == pytest.approx(0.0, abs=1e-12)
-
-    def test_no_flip_when_ordered(self):
-        spec = homogeneous_spec()
-        same, flipped = spec.canonical()
-        assert not flipped and same is spec

@@ -293,7 +293,6 @@ class TestSchedule:
         s = ContinuationSchedule(eta_seq=(0.1, 0.01), mu_seq=(0.1, 0.0))
         assert s.etas() == (0.1, 0.01, 0.0)
         assert s.mus_positive() == (0.1,)
-        assert s.final_polish()
 
     def test_mu_guard_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="nlhet"):
@@ -351,7 +350,7 @@ class TestStageRunner:
 
         cont = continuation_run(spec, grid, cfg, sched, SolverConfig(),
                                 stage_callback=capture)
-        assert len(cont.stages) == 2
+        assert len(cont.stages) == 3  # both etas at mu = 0.1, then the polish
         ref = reference_on(spec, grid)
         single = minimize_constrained(ref, spec, barrier_pair(spec, cfg, grid, 1e-1),
                                       cfg, 1e-1, 1e-1)
@@ -362,8 +361,7 @@ class TestStageRunner:
 
 class TestResume:
     def test_resume_from_every_stage_equals_fresh_run(self):
-        # a flipped spec (zeta1 > zeta2): snapshots and resume are in the
-        # caller's orientation, the stages run in the canonical one
+        # a falling profile (zeta1 > zeta2), solved as given
         base = homogeneous_spec()
         spec = ProblemSpec(base.kernel, PotentialSpec(zeta1=TWO_PI, zeta2=0.0),
                            base.modulation)
@@ -374,7 +372,8 @@ class TestResume:
         snaps = []
         fresh = continuation_run(spec, grid, cfg, sched, SolverConfig(),
                                  stage_callback=lambda *snap: snaps.append(snap))
-        assert fresh.flipped and len(snaps) == 7
+        assert len(snaps) == 7
+        assert fresh.monotone and fresh.profile.values[0] > fresh.profile.values[-1]
         for k, (stages, trace, q) in enumerate(snaps):
             # what a callback received did not change after it returned
             assert stages == fresh.stages[:k + 1]
@@ -391,6 +390,22 @@ class TestResume:
 
 
 class TestContinuation:
+    def test_polish_implied_when_mu_seq_lacks_zero(self):
+        # the trailing 0 of mu_seq is implied: the run ends with the
+        # (0, 0) polish and equals the run that lists the 0
+        spec = homogeneous_spec()
+        grid = Grid(R=40.0, n=401)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        runs = [continuation_run(spec, grid, cfg,
+                                 ContinuationSchedule(eta_seq=(1e-1, 0.0),
+                                                      mu_seq=mus), SolverConfig())
+                for mus in ((1e-1, 2e-2), (1e-1, 2e-2, 0.0))]
+        implied, listed = runs
+        assert [(s.mu, s.eta) for s in implied.stages] == [
+            (1e-1, 1e-1), (1e-1, 0.0), (2e-2, 1e-1), (2e-2, 0.0), (0.0, 0.0)]
+        assert implied.stages == listed.stages
+        assert np.array_equal(implied.profile.values, listed.profile.values)
+
     def test_certified_result(self, small_run):
         spec, grid, cfg, sched, res = small_run
         assert res.limit_check["pass"]
@@ -426,7 +441,7 @@ class TestContinuation:
                              C0_growth=pot.C0_growth)
         rspec = ProblemSpec(spec.kernel, rpot, spec.modulation)
         rres = continuation_run(rspec, grid, cfg, sched, SolverConfig())
-        assert rres.flipped
+        assert rres.monotone and rres.profile.values[0] > rres.profile.values[-1]
         assert np.max(np.abs(rres.profile.values - (-res.profile.values))) <= 1e-10
 
     def test_window_guard(self):

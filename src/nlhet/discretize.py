@@ -51,6 +51,7 @@ __all__ = [
     "seminorm_K",
     "bilinear_form",
     "second_difference",
+    "strang_symbol",
 ]
 
 
@@ -206,6 +207,29 @@ class Workspace:
         ff = np.fft.rfft(f, self._L)
         full = np.fft.irfft(ff * self._ker_f, self._L)
         return full[self._n - 1:2 * self._n - 1].copy()
+
+
+def strang_symbol(d0: float, w: np.ndarray, c: float, M: int,
+                  scale: float = 1.0) -> np.ndarray:
+    """Eigenvalues of the length-M Strang circulant of a symmetric Toeplitz
+    operator: d0 + 2c on the diagonal, -w[k-1] at offset k, and -c more on
+    the first off-diagonals (the eta stencil), all times ``scale``.
+
+    The column keeps the offsets 1 .. (M-1)//2 on either side (Strang, Stud.
+    Appl. Math. 74, 1986), so any M >= 3 works; a power of two is the fast
+    length.  The symbol is clamped at 1e-12 of its maximum: without exterior
+    tails (a tabulated kernel) and without the diagonal shift it vanishes at
+    frequency zero.
+    """
+    m = (M - 1) // 2
+    col = np.zeros(M)
+    col[0] = d0 + 2.0 * c
+    col[1:m + 1] = -w[:m]
+    col[M - m:] = -w[:m][::-1]
+    col[1] -= c
+    col[-1] -= c
+    sym = scale * np.fft.rfft(col).real
+    return np.maximum(sym, 1e-12 * sym.max())
 
 
 _WS_CACHE: dict = {}

@@ -88,6 +88,8 @@ class KernelSpec:
                 raise ValueError("tabulated kernel needs table_r and table_K")
             tr = np.asarray(self.table_r, float)
             tK = np.asarray(self.table_K, float)
+            if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(tK))):
+                raise ValueError("tabulated kernel table holds a non-finite value")
             if tr.ndim != 1 or tr.size < 2 or np.any(tr <= 0) or np.any(np.diff(tr) <= 0):
                 raise ValueError("table_r must be increasing and positive")
             if np.any(tK < 0):

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .discretize import (Grid, Profile, operator_field, operator_linear,
-                         reference_profile, workspace_for)
+                         reference_profile, strang_symbol, workspace_for)
 from .energy import EnergyBreakdown, _check_far_fields
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
                     verify_model)
@@ -213,16 +213,7 @@ class _Stage:
         m = (n - 1) // 2
         c_well = float(np.mean(self.a)) * float(np.mean(
             potential_hess(pot, np.array([pot.zeta1, pot.zeta2])))) + mu
-        col = np.zeros(n)
-        col[0] = ws.diag[m] + c_well + 2.0 * eta / h ** 2
-        col[1:m + 1] = -ws.w[:m]
-        col[n - m:] = -ws.w[:m][::-1]
-        col[1] -= eta / h ** 2
-        col[-1] -= eta / h ** 2
-        sym = h * np.fft.rfft(col).real
-        # its smallest eigenvalue is Wl + Wr + c_well at the centre, which
-        # vanishes for a tabulated kernel (no tails) when c_well does
-        self.symbol = np.maximum(sym, 1e-12 * sym.max())
+        self.symbol = strang_symbol(ws.diag[m] + c_well, ws.w, eta / h ** 2, n, h)
         # feasible box: well sandwich, intersected with the obstacle band
         self.lob = np.full(n, pot.well_lo)
         self.upb = np.full(n, pot.well_hi)
@@ -333,7 +324,9 @@ def _newton_direction(stage: _Stage, q: np.ndarray, g: np.ndarray,
 
     Preconditioned CG on the free nodes solves H d = -g to the relative
     residual ``forcing``; it stops early at negative curvature, and if that
-    comes at the first step the direction is -g.  Fixed nodes take -g.
+    comes at the first step the direction is the first preconditioned
+    residual, a descent direction since g.d = -r.M^-1 r < 0.  Fixed nodes
+    take -g.
     """
     mask = free.astype(np.float64)
     c = stage.curvature(q)
@@ -348,7 +341,7 @@ def _newton_direction(stage: _Stage, q: np.ndarray, g: np.ndarray,
         pHp = float(p @ Hp)
         if pHp <= 0.0:
             if k == 1:
-                return -g, k
+                d = z
             break
         step = rz / pHp
         d += step * p

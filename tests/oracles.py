@@ -2,8 +2,9 @@
 
 These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
-intervals, a plain double-midpoint sum for the Gagliardo forms, and the
-full-matrix H^(1/2) sum on a nonuniform partition.
+intervals, a plain double-midpoint sum for the Gagliardo forms, the
+full-matrix H^(1/2) sum on a nonuniform partition, and a dense direct
+solve of the barrier problem.
 """
 
 from __future__ import annotations
@@ -123,3 +124,22 @@ def dense_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
     ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)
                        * (1.0 / (edges[-1] - mids) + 1.0 / (mids - edges[0])))
     return math.sqrt(max(total + float(ext), 0.0))
+
+
+def dense_barrier(ws, band: np.ndarray, gl: float, gr: float, rhs: float,
+                  eta: float) -> np.ndarray:
+    """The barrier with exterior data gl | gr and right-hand side ``rhs`` on
+    the band mask, by one dense solve: the full n x n operator matrix from
+    the workspace's kernel cell masses and tail moments, restricted to the
+    band rows, with the exterior columns moved to the right-hand side."""
+    grid = ws.grid
+    n, h, x = grid.n, grid.h, grid.x
+    wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
+    K = wfull[np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1]
+    M = np.diag(K.sum(axis=1) + ws.Wl + ws.Wr) - K
+    M += eta / h ** 2 * (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    u = np.where(x < 0, gl, gr)
+    b = rhs + ws.Wl * gl + ws.Wr * gr
+    b = b[band] - M[np.ix_(band, ~band)] @ u[~band]
+    u[band] = np.linalg.solve(M[np.ix_(band, band)], b)
+    return u

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
                               apply_full_operator, apply_nonlocal,
                               bilinear_form, reference_profile, seminorm_K,
-                              workspace_for)
+                              strang_symbol, workspace_for)
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
@@ -71,6 +71,33 @@ class TestWorkspaceConv:
                     direct[i] += ws.w[abs(i - j) - 1] * f[j]
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(ws.conv(f) - direct)) <= 1e-13 * scale
+
+
+class TestStrangSymbol:
+    @pytest.mark.parametrize("M", [4, 7, 64, 101])
+    def test_symbol_diagonalizes_the_dense_circulant(self, M):
+        # the circulant keeps offsets up to (M - 1) // 2 on either side; for
+        # even M the offset M / 2 is left empty
+        ws = workspace_for(KER, Grid(R=10.0, n=201))
+        d0, c, scale = float(ws.diag[100]), 0.3, 0.7
+        t = np.concatenate([[d0 + 2 * c], -ws.w[:M]])
+        t[1] -= c
+        C = np.zeros((M, M))
+        for i in range(M):
+            for j in range(M):
+                k = min(abs(i - j), M - abs(i - j))
+                if k <= (M - 1) // 2:
+                    C[i, j] = scale * t[k]
+        v = np.random.default_rng(M).normal(size=M)
+        sym = strang_symbol(d0, ws.w, c, M, scale)
+        got = np.fft.irfft(sym * np.fft.rfft(v), M)
+        assert np.max(np.abs(got - C @ v)) <= 1e-12 * np.max(np.abs(C @ v))
+
+    def test_symbol_clamped_where_it_vanishes(self):
+        # row sums zero out: the symbol is 0 at frequency zero before the clamp
+        w = np.array([1.0, 0.5, 0.25])
+        sym = strang_symbol(2 * w.sum(), w, 0.0, 8)
+        assert sym.min() == 1e-12 * sym.max() > 0.0
 
 
 class TestApplyNonlocal:

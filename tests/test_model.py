@@ -48,6 +48,16 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec(s=0.6)
 
+    @pytest.mark.parametrize("field,bad", [("table_r", np.nan), ("table_K", np.nan),
+                                           ("table_K", np.inf)])
+    def test_tabulated_kernel_rejects_non_finite_table(self, field, bad):
+        tables = {"table_r": np.geomspace(0.01, 1.0, 50)}
+        tables["table_K"] = 1.0 / tables["table_r"] ** 2
+        tables[field] = tables[field].copy()
+        tables[field][-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KernelSpec(s=0.5, form="tabulated", **tables)
+
     def test_natural_constant_half(self):
         assert natural_halfspace_constant(0.5) == pytest.approx(1 / math.pi, rel=1e-14)
 

@@ -1,19 +1,22 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nlhet import obstacles
 from nlhet.discretize import Grid, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import (BarrierSolveError, EnvelopeClauseError,
-                             ObstacleConfig, _band_matrix, band_check,
-                             barrier_pair, build_envelopes,
+                             ObstacleConfig, _band_cg, _verify_clauses,
+                             band_check, barrier_pair, build_envelopes,
                              compute_rhs_constant, faithful_barriers,
                              solve_barrier)
 from nlhet.solver import SolverError, _Stage
 
 from conftest import homogeneous_spec, modulated_spec, reference_on
+from oracles import dense_barrier
 
 TWO_PI = 2 * math.pi
 
@@ -65,31 +68,46 @@ class TestSolveBarrier:
         reflected = -phi.values[::-1]
         assert np.max(np.abs(psi.values - reflected)) < 1e-9
 
-    @pytest.mark.parametrize("eta", [0.0, 1e-2])
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_matches_dense_reference_assembly(self, eta, sign):
-        # independent oracle: the full n x n operator matrix from the
-        # kernel cell masses, restricted to the band rows, with the exterior
-        # columns moved to the right-hand side
-        spec = modulated_spec()
+    @staticmethod
+    def _check_against_dense(spec, eta, sign):
+        # independent oracle: a dense direct solve on the band rows of the
+        # full n x n operator matrix
         grid = Grid(R=30.0, n=601)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
         ws = workspace_for(spec.kernel, grid)
-        n, h, x = grid.n, grid.h, grid.x
-        wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
-        K = wfull[np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1]
-        M = np.diag(K.sum(axis=1) + ws.Wl + ws.Wr) - K
-        M += eta / h ** 2 * (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
         r = cfg.resolve_r(spec)
-        gl = spec.potential.zeta1 + sign * r
-        gr = spec.potential.zeta2 + sign * r
+        x = grid.x
         band = (x > cfg.b1 - cfg.tau) & (x < cfg.b2 + cfg.tau)
-        u = np.where(x < 0, gl, gr)
-        rhs = sign * compute_rhs_constant(spec) + ws.Wl * gl + ws.Wr * gr
-        rhs = rhs[band] - M[np.ix_(band, ~band)] @ u[~band]
-        u[band] = np.linalg.solve(M[np.ix_(band, band)], rhs)
+        u = dense_barrier(ws, band, spec.potential.zeta1 + sign * r,
+                          spec.potential.zeta2 + sign * r,
+                          sign * compute_rhs_constant(spec), eta)
         got = solve_barrier(spec, cfg, grid, eta)[0 if sign > 0 else 1]
         assert np.max(np.abs(got.values - u)) <= 1e-10 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_dense_reference_assembly(self, eta, sign):
+        self._check_against_dense(modulated_spec(), eta, sign)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    @pytest.mark.parametrize("kernel", ["power_s0.3", "truncated_s0.3",
+                                        "table_to_r1"])
+    def test_matches_dense_reference_other_kernels(self, kernel, eta):
+        # the table stops at r = 1 and has no exterior tails, so at eta = 0
+        # the Strang symbol vanishes at frequency zero and only its clamp
+        # keeps the preconditioner finite
+        if kernel == "table_to_r1":
+            tr = np.geomspace(0.01, 1.0, 400)
+            ker = KernelSpec(s=0.5, form="tabulated", table_r=tr,
+                             table_K=(1 / math.pi) / tr ** 2)
+        elif kernel == "power_s0.3":
+            ker = KernelSpec(s=0.3)
+        else:
+            ker = KernelSpec(s=0.3, form="truncated_power")
+        base = modulated_spec()
+        spec = ProblemSpec(ker, base.potential, base.modulation)
+        for sign in (+1, -1):
+            self._check_against_dense(spec, eta, sign)
 
     def test_window_must_contain_band(self):
         spec = homogeneous_spec()
@@ -97,60 +115,64 @@ class TestSolveBarrier:
             solve_barrier(spec, ObstacleConfig(b1=-50.0, b2=50.0), Grid(R=40.0, n=401),
                           0.0)
 
-    @pytest.mark.parametrize("eta", [0.0, 1e-2])
-    def test_one_row_band_matrix_matches_elementwise_assembly(self, eta):
-        # the Toeplitz block from one kernel row equals the elementwise
-        # assembly from the full offset table, bit for bit
-        spec = modulated_spec()
-        grid = Grid(R=30.0, n=601)
-        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
-        ws = workspace_for(spec.kernel, grid)
-        n = grid.n
-        band = np.where((grid.x > cfg.b1 - cfg.tau) & (grid.x < cfg.b2 + cfg.tau))[0]
-        wfull = np.concatenate([ws.w[::-1], [0.0], ws.w])
-        ref = -wfull[band[:, None] - band[None, :] + n - 1]
-        idx = np.arange(band.size)
-        ref[idx, idx] += ws.diag[band]
-        c = eta / grid.h ** 2
-        if eta > 0:
-            ref[idx, idx] += 2 * c
-            ref[idx[:-1], idx[1:]] -= c
-            ref[idx[1:], idx[:-1]] -= c
-        got = _band_matrix(ws, band, c)
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    def test_one_factorization_per_pair(self, monkeypatch):
+    def test_one_cg_per_pair(self, monkeypatch):
         calls = []
-        real = np.linalg.solve
 
-        def counting(A, B):
+        def counting(matvec, precondition, B, tol, maxiter):
             calls.append(B.shape)
-            return real(A, B)
+            return _band_cg(matvec, precondition, B, tol, maxiter)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(obstacles, "_band_cg", counting)
         spec = homogeneous_spec()
         cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
         barrier_pair(spec, cfg, Grid(R=40.0, n=401), 1e-2)
         assert len(calls) == 1 and calls[0][1] == 2
 
-    def test_singular_system_raises_with_condition(self, monkeypatch):
-        def singular(A, B):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+    def test_cg_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(obstacles, "_band_cg",
+                            lambda mv, pc, B, tol, maxiter: _band_cg(mv, pc, B, tol, 1))
         spec = homogeneous_spec()
-        with pytest.raises(BarrierSolveError, match=r"singular.*cond ~ \d"):
+        with pytest.raises(BarrierSolveError,
+                           match=r"cap of 1 iterations with residual \d"):
             solve_barrier(spec, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
                           Grid(R=40.0, n=401), 0.0)
+
+    @pytest.mark.parametrize("matvec", [lambda P: -P, lambda P: P * np.nan])
+    def test_cg_breakdown_raises(self, matvec):
+        B = np.ones((5, 2))
+        with pytest.raises(BarrierSolveError, match=r"breakdown at iteration 1 "):
+            _band_cg(matvec, lambda R: R, B, 1e-12, 5)
+
+    @staticmethod
+    def _solve_with_cg_returning(monkeypatch, value):
+        monkeypatch.setattr(obstacles, "_band_cg",
+                            lambda mv, pc, B, tol, maxiter: (np.full_like(B, value), 0))
+        solve_barrier(homogeneous_spec(), ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
+                      Grid(R=40.0, n=401), 0.0)
 
     def test_residual_gate_raises(self, monkeypatch):
         # a solve that returns zeros leaves the residual |B| >= C0
-        monkeypatch.setattr(np.linalg, "solve", lambda A, B: np.zeros_like(B))
-        spec = homogeneous_spec()
         with pytest.raises(BarrierSolveError, match=r"exceeds 1e-8\*C0"):
-            solve_barrier(spec, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
-                          Grid(R=40.0, n=401), 0.0)
+            self._solve_with_cg_returning(monkeypatch, 0.0)
+
+    def test_residual_gate_rejects_nan(self, monkeypatch):
+        with pytest.raises(BarrierSolveError, match=r"residual nan exceeds 1e-8\*C0"):
+            self._solve_with_cg_returning(monkeypatch, np.nan)
+
+    def test_large_band_stays_matrix_free(self):
+        # a 2001-node band: its dense block alone would take 32 MB
+        spec = homogeneous_spec()
+        grid = Grid(R=200.0, n=8001)
+        cfg = ObstacleConfig(b1=-50.0, b2=50.0)
+        assert obstacles._band_indices(grid, cfg).size == 2001
+        workspace_for(spec.kernel, grid)
+        tracemalloc.start()
+        try:
+            solve_barrier(spec, cfg, grid, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestEnvelopes:
@@ -208,6 +230,17 @@ class TestEnvelopes:
         phi, psi = solve_barrier(spec, cfg, grid, 1e-2)
         with pytest.raises(EnvelopeClauseError, match="collar"):
             build_envelopes(phi, psi, cfg, 1e-2)
+
+    @pytest.mark.parametrize("where", ["outside", "collar", "mid"])
+    def test_clause_check_rejects_nan(self, barrier_setup, where):
+        spec, grid, cfg, _, _, pair = barrier_setup
+        x = grid.x
+        node = {"outside": cfg.b2 + 1.0, "collar": cfg.b1 - cfg.tau,
+                "mid": 0.0}[where]
+        bad = copy.deepcopy(pair)
+        bad.Phi.values[int(np.argmin(np.abs(x - node)))] = np.nan
+        with pytest.raises(EnvelopeClauseError):
+            _verify_clauses(bad)
 
     def test_faithful_reconstruction_roundtrip(self, barrier_setup):
         spec, grid, cfg, phi, psi, pair = barrier_setup

@@ -184,9 +184,11 @@ class TestStepRule:
         # straight to the wells at |x| = 10: the first Newton step smooths
         # the jumps but leaves the plateau within 0.5 of pi, so from then on
         # the first CG step meets negative curvature and the direction falls
-        # back to -g.  From the smooth tanh flanks of ``_plateau_start`` the
-        # first Newton step carries the plateau 2.3 away from pi, out of the
-        # concave region, and no fallback happens.
+        # back to the first preconditioned residual.  From the smooth tanh
+        # flanks of ``_plateau_start`` the first Newton step carries the
+        # plateau 2.3 away from pi, out of the concave region, and no
+        # fallback happens.  The preconditioned fallback takes 10 iterations
+        # here (34 with raw -g).
         spec, grid, cfg = small_setup
         x = grid.x
         q = np.where(np.abs(x) < 10.0, math.pi + 0.01 * np.sin(x / 5.0),
@@ -195,9 +197,13 @@ class TestStepRule:
         fallbacks, trials = [], []
 
         def direction(stage, q, g, free, forcing):
-            d, k = real_direction(stage, q, g, free, forcing)
-            fallbacks.append(np.array_equal(d, -g))
-            return d, k
+            # the fallback is taken when CG's first step meets negative
+            # curvature
+            mask = free.astype(np.float64)
+            z = stage.precondition(-g * mask) * mask
+            fallbacks.append(float(z @ (stage.hessvec(stage.curvature(q), z) * mask))
+                             <= 0.0)
+            return real_direction(stage, q, g, free, forcing)
 
         def trial(self, q):
             trials.append(1)
@@ -212,6 +218,7 @@ class TestStepRule:
         assert all(b < a for a, b in zip(totals, totals[1:]))
         assert res.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
         assert res.stages[0].trials == len(trials)
+        assert res.stages[0].iterations <= 15
 
 
 class TestFusedEvaluation:

@@ -91,7 +91,8 @@ class BumpFamily:
 
     def base(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 4, 0.0)
+        # two squarings: pow takes a slow path on negative and near-zero bases
+        return np.where(np.abs(u) < 1.0, np.square(np.square(1.0 - u * u)), 0.0)
 
     def member(self, k: int, x) -> np.ndarray:
         return self.base(math.exp(k) * (np.asarray(x, float) - self.center(k)))

@@ -15,7 +15,11 @@ refinement tests).  Outside the window the profile is its far-field
 constants, so the exterior enters only through the tail moments
 Wl/Wr = int K beyond each window edge.  The kernel fixes that closure:
 power-law kernels have closed-form moments; a tabulated kernel has none, and
-its tails are truncated to zero.
+its tails are truncated to zero.  For power-law kernels the tail moments T
+at the cell edges h/2, 3h/2, ... give everything: cell masses are their
+differences, and the row sums telescope to rho = 2 T(h/2) - Wl - Wr, so
+the diagonal rho + Wl + Wr is 2 T(h/2); only a tabulated kernel convolves
+``ones``.
 
 All weights depend only on |i - j|, so operator application and every
 double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
@@ -133,51 +137,38 @@ def reference_profile(spec: ProblemSpec, grid: Grid) -> Profile:
 # --------------------------------------------------------------------------
 
 
-def _power_mass(c: float, s: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact int_lo^hi c t^(-1-2s) dt, elementwise, lo > 0."""
-    return c * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
-
-
 def _cell_masses(ker: KernelSpec, h: float, mmax: int) -> np.ndarray:
-    """w_m = int over [(m-1/2)h, (m+1/2)h] of K, m = 1..mmax."""
+    """Midpoint cell masses h K(m h), m = 1..mmax, of a tabulated kernel
+    (it has no antiderivative); zero off the table."""
     m = np.arange(1, mmax + 1, dtype=np.float64)
-    lo, hi = (m - 0.5) * h, (m + 0.5) * h
-    if ker.form == "power":
-        return _power_mass(ker.c, ker.s, lo, hi)
-    if ker.form == "truncated_power":
-        hi_c = np.minimum(hi, ker.r0)
-        lo_c = np.minimum(lo, ker.r0)
-        out = np.zeros_like(lo)
-        live = lo_c < hi_c
-        out[live] = _power_mass(ker.c, ker.s, lo_c[live], hi_c[live])
-        return out
-    # tabulated: plain midpoint (no analytic antiderivative available)
     vals = np.zeros_like(m)
     inside = (m * h >= ker.table_r[0]) & (m * h <= ker.table_r[-1])
     vals[inside] = np.asarray(kernel_eval(ker, m[inside] * h)) * h
     return vals
 
 
-def _tail_moment(ker: KernelSpec, T: np.ndarray) -> np.ndarray:
-    """int_T^inf K(t) dt for T > 0 (power and truncated power kernels)."""
-    T = np.asarray(T, dtype=np.float64)
+def _tail_moment(ker: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """int_t^inf K, elementwise, t > 0 (power and truncated power kernels);
+    exactly 0 for t >= r0 on a truncated kernel."""
+    t = np.asarray(t, dtype=np.float64)
+    e = -2.0 * ker.s
     if ker.form == "power":
-        return ker.c * T ** (-2.0 * ker.s) / (2.0 * ker.s)
-    Tc = np.minimum(T, ker.r0)
-    out = np.zeros_like(T)
-    live = Tc < ker.r0
-    out[live] = _power_mass(ker.c, ker.s, Tc[live], np.full_like(Tc[live], ker.r0))
-    return out
+        return ker.c * t ** e / (2.0 * ker.s)
+    inside = ker.c * (t ** e - ker.r0 ** e) / (2.0 * ker.s)
+    return np.where(t < ker.r0, inside, 0.0)
 
 
 class Workspace:
     """Precomputed Toeplitz weights for one (kernel, grid) pair.
 
     ``w[m-1]`` is the kernel mass of the cell at node offset m; ``rho`` the
-    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior,
-    closed-form for power-law kernels and zero (with a warning) for a
-    tabulated kernel, which has no moments beyond its table;
-    ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.
+    row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
+    ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.  A power
+    or truncated power kernel takes all four from T[j] = int K beyond
+    (j + 1/2) h: w = T[:-1] - T[1:], Wl = T, Wr = T reversed, and the row
+    sums telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).  A
+    tabulated kernel has midpoint masses, zero tails (with a warning) and
+    rho = conv(ones), the only convolution a build runs.
     ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT of length
     ``_L``, the next power of two >= 2n - 1 (16384 at n = 8001): outputs
     n - 1 .. 2n - 2 of the circular convolution then carry no aliased terms.
@@ -186,21 +177,24 @@ class Workspace:
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.kernel, self.grid = kernel, grid
         n, h = grid.n, grid.h
-        self.w = _cell_masses(kernel, h, n - 1)
-        ker_full = np.concatenate([self.w[::-1], [0.0], self.w])
-        self._L = 1 << (2 * n - 2).bit_length()
-        self._ker_f = np.fft.rfft(ker_full, self._L)
         self._n = n
-        self.rho = self.conv(np.ones(n))
-        i = np.arange(n, dtype=np.float64)
+        self._L = 1 << (2 * n - 2).bit_length()
         if kernel.form == "tabulated":
             logging.getLogger("nlhet").warning(
                 "tabulated kernel: exterior tails are truncated to zero")
+            self.w = _cell_masses(kernel, h, n - 1)
             self.Wl = np.zeros(n)
             self.Wr = np.zeros(n)
         else:
-            self.Wl = _tail_moment(kernel, (i + 0.5) * h)
-            self.Wr = _tail_moment(kernel, (n - 1 - i + 0.5) * h)
+            T = _tail_moment(kernel, (np.arange(n) + 0.5) * h)
+            self.w = T[:-1] - T[1:]
+            self.Wl = T
+            self.Wr = T[::-1].copy()
+            self.rho = 2.0 * T[0] - self.Wl - self.Wr
+        self._ker_f = np.fft.rfft(np.concatenate([self.w[::-1], [0.0], self.w]),
+                                  self._L)
+        if kernel.form == "tabulated":
+            self.rho = self.conv(np.ones(n))
         self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
@@ -370,12 +364,13 @@ def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
     The sum is invariant under constant shifts of f and g; centering both
     keeps the four convolution terms from cancelling catastrophically.
 
-    Convolutions are shared where the terms coincide, so the result is the
-    same bits as four separate convolutions: an all-true mask convolves to
-    ``ws.rho`` (built as ``conv(ones)``); equal masks share one mask
+    Convolutions are shared where the terms coincide: an all-true mask
+    convolves to the row sums ``ws.rho`` (``conv(ones)`` up to round-off
+    once they telescope, for power-law kernels); equal masks share one mask
     convolution between t1 and t2; equal masks with equal centered f and g
-    make t4 = t3.  A whole-line seminorm costs one convolution, a seminorm
-    over one finite interval two.
+    make t4 = t3.  Over finite intervals the result is the same bits as four
+    separate convolutions.  A whole-line seminorm costs one convolution, a
+    seminorm over one finite interval two.
     """
     f = f - f.mean()
     g = g - g.mean()

@@ -3,8 +3,9 @@
 These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
 intervals, a plain double-midpoint sum for the Gagliardo forms, the
-full-matrix H^(1/2) sum on a nonuniform partition, and a dense direct
-solve of the barrier problem.
+full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
+solve of the barrier problem, exactly rounded Toeplitz row sums, and power
+kernel cell masses as a difference of two powers.
 """
 
 from __future__ import annotations
@@ -143,3 +144,22 @@ def dense_barrier(ws, band: np.ndarray, gl: float, gr: float, rhs: float,
     b = b[band] - M[np.ix_(band, ~band)] @ u[~band]
     u[band] = np.linalg.solve(M[np.ix_(band, band)], b)
     return u
+
+
+def dense_row_sums(w: np.ndarray) -> np.ndarray:
+    """Row sums rho_i = sum over j != i of w[|i - j| - 1] of the n x n
+    Toeplitz matrix with n = w.size + 1, each row by ``math.fsum``."""
+    n = w.size + 1
+    return np.array([math.fsum(np.concatenate([w[:i], w[:n - 1 - i]]))
+                     for i in range(n)])
+
+
+def two_power_cell_masses(ker, h: float, mmax: int) -> np.ndarray:
+    """w_m = int over [(m - 1/2)h, (m + 1/2)h] of c t^(-1-2s) dt, m = 1..mmax,
+    as c (lo^(-2s) - hi^(-2s)) / 2s with both ends clipped at r0 for a
+    truncated power kernel."""
+    m = np.arange(1, mmax + 1, dtype=np.float64)
+    lo, hi = (m - 0.5) * h, (m + 0.5) * h
+    if ker.form == "truncated_power":
+        lo, hi = np.minimum(lo, ker.r0), np.minimum(hi, ker.r0)
+    return ker.c * (lo ** (-2.0 * ker.s) - hi ** (-2.0 * ker.s)) / (2.0 * ker.s)

@@ -19,6 +19,16 @@ class TestBumpFamily:
             BumpFamily(s=0.5)
         BumpFamily(s=0.49)
 
+    def test_base_matches_fourth_power_template(self):
+        # squared squares instead of pow: within 4 ulp of (1 - u^2)^4 inside
+        # the support (measured 2 ulp), exactly 0 on |u| >= 1
+        u = np.linspace(-2, 2, 32001)
+        got = BumpFamily(s=0.3).base(u)
+        inside = np.abs(u) < 1
+        ref = (1 - u[inside] ** 2) ** 4
+        assert np.all(np.abs(got[inside] - ref) <= 4 * np.spacing(ref))
+        assert np.all(got[~inside] == 0.0)
+
     def test_member_zero_matches_direct_quadrature(self):
         fam = BumpFamily(s=0.3)
         l2, _ = bump_norms(fam, 0)

@@ -12,7 +12,8 @@ from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
-from oracles import dense_nonlocal, dense_seminorm_sq
+from oracles import (dense_nonlocal, dense_row_sums, dense_seminorm_sq,
+                     two_power_cell_masses)
 
 TWO_PI = 2 * math.pi
 KER = KernelSpec(s=0.5)  # c = 1/pi
@@ -100,6 +101,65 @@ class TestStrangSymbol:
         assert sym.min() == 1e-12 * sym.max() > 0.0
 
 
+_TABLE_R = np.geomspace(1e-4, 50, 400)
+BUILD_KERNELS = {
+    "power": KER,
+    "power_s0.3": KernelSpec(s=0.3),
+    "truncated_inside": KernelSpec(s=0.4, form="truncated_power", c=1.0,
+                                   r0=3.0),
+    "truncated_below_half_cell": KernelSpec(s=0.4, form="truncated_power",
+                                            c=1.0, r0=0.02),
+    "tabulated": KernelSpec(s=0.5, form="tabulated", table_r=_TABLE_R,
+                            table_K=(1 / math.pi) / _TABLE_R ** 2,
+                            theta0=0.9 / math.pi, Theta0=1.1 / math.pi),
+}
+
+
+class TestWorkspaceBuild:
+    """Power-form workspaces come from one array of tail moments: the cell
+    masses are its differences and the row sums telescope to
+    2 T(h/2) - Wl - Wr.  Only a tabulated kernel convolves ``ones``."""
+
+    G = Grid(R=10.0, n=401)   # h = 0.05
+
+    @pytest.mark.parametrize("name", list(BUILD_KERNELS))
+    def test_row_sums_match_dense_oracle(self, name):
+        # measured max relative error 3.6e-16 (tabulated), <= 1.7e-16 for
+        # the power forms (conv(ones) measured up to 6.1e-16 on this grid);
+        # with r0 < h/2 the oracle is 0 and rho must be exactly 0
+        ws = Workspace(BUILD_KERNELS[name], self.G)
+        oracle = dense_row_sums(ws.w)
+        assert np.all(np.abs(ws.rho - oracle) <= 1e-15 * oracle)
+
+    def test_truncated_below_half_cell_is_exactly_zero(self):
+        # r0 < h/2: no kernel mass reaches a neighbor cell or the exterior
+        ws = Workspace(BUILD_KERNELS["truncated_below_half_cell"], self.G)
+        for arr in (ws.w, ws.rho, ws.Wl, ws.Wr, ws.diag):
+            assert not arr.any()
+
+    @pytest.mark.parametrize("name", ["power", "power_s0.3",
+                                      "truncated_inside",
+                                      "truncated_below_half_cell"])
+    def test_cell_masses_match_two_power_formula(self, name):
+        # differencing the tail moments cancels like the two-power formula:
+        # measured max relative gap 1.7e-13 (s = 0.3, offsets up to 400)
+        ker = BUILD_KERNELS[name]
+        ws = Workspace(ker, self.G)
+        ref = two_power_cell_masses(ker, self.G.h, self.G.n - 1)
+        assert np.all(np.abs(ws.w - ref) <= 1e-12 * ref)
+
+    @pytest.mark.parametrize("name, convs", [
+        ("power", 0), ("truncated_inside", 0),
+        ("truncated_below_half_cell", 0), ("tabulated", 1)])
+    def test_build_convolutions(self, monkeypatch, name, convs):
+        calls = []
+        conv = Workspace.conv
+        monkeypatch.setattr(Workspace, "conv",
+                            lambda ws, v: calls.append(1) or conv(ws, v))
+        Workspace(BUILD_KERNELS[name], self.G)
+        assert len(calls) == convs
+
+
 class TestApplyNonlocal:
     def test_workspace_diag_is_row_sum_plus_tails(self):
         ws = workspace_for(KER, Grid(R=20.0, n=801))
@@ -143,10 +203,7 @@ class TestApplyNonlocal:
     def test_tabulated_with_analytic_tail_rejected(self, caplog):
         # a table has no closed-form tail moments: its workspace truncates
         # the exterior to zero and says so; a power kernel keeps its moments
-        r = np.geomspace(1e-4, 50, 400)
-        ker = KernelSpec(s=0.5, form="tabulated", table_r=r,
-                         table_K=(1 / math.pi) / r ** 2,
-                         theta0=0.9 / math.pi, Theta0=1.1 / math.pi)
+        ker = BUILD_KERNELS["tabulated"]
         g = Grid(R=10.0, n=101)
         with caplog.at_level("WARNING", logger="nlhet"):
             ws = Workspace(ker, g)
@@ -349,7 +406,7 @@ class TestSharedConvolutions:
         return total
 
     def _count(self, monkeypatch, f, g, I, J):
-        workspace_for(KER, self.G)   # build (and convolve rho) before counting
+        workspace_for(KER, self.G)   # build before counting
         calls = []
         conv = Workspace.conv
         monkeypatch.setattr(Workspace, "conv",

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import base64
+import gc
 import hashlib
 import json
 import math
 import os
-import socket
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -33,6 +32,10 @@ from .obstacles import (BarrierSolveError, EnvelopeClauseError, ObstaclePair,
                         barrier_pair)
 from .solver import (NonConvergenceError, SolverError, StageRecord,
                      continuation_run)
+
+# the objects the imports made live as long as the process: keep them out
+# of every collection and of the one at exit
+gc.freeze()
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_ENV = 0, 1, 2, 3
 _FMT = "%.17g"
@@ -162,7 +165,7 @@ def _dead_owner(path: str) -> Optional[str]:
         with open(path) as fh:
             text = fh.read()
         pid, host = text.split("@")
-        if host == socket.gethostname() and int(pid) > 0:
+        if host == os.uname().nodename and int(pid) > 0:
             os.kill(int(pid), 0)
     except ProcessLookupError:
         return text
@@ -193,7 +196,7 @@ class _Lock:
                 os.remove(aside)
         try:
             with open(self.path, "x") as fh:
-                fh.write(f"{os.getpid()}@{socket.gethostname()}")
+                fh.write(f"{os.getpid()}@{os.uname().nodename}")
         except FileExistsError:
             raise OSError(f"output directory is locked by another run "
                           f"({self.path})")
@@ -473,6 +476,8 @@ def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
     """Bump members for every s and the trace members, all in one pool of
     ``_thread_cap()`` workers; results are gathered in input order, so the
     outputs do not depend on the thread count."""
+    from concurrent.futures import ThreadPoolExecutor
+
     b = cfg.bench
     os.makedirs(outdir, exist_ok=True)
     outputs = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -397,6 +398,17 @@ class ProblemSpec:
     @property
     def s(self) -> float:
         return self.kernel.s
+
+    @cached_property
+    def rhs_constant(self) -> float:
+        """C0 = sup |a W'| + 2|zeta1| + 2|zeta2| + 1 of the barrier problem,
+        the sup sampled on 20001 points of the well sandwich; computed on
+        first use and kept with the spec."""
+        pot = self.potential
+        u = np.linspace(pot.well_lo, pot.well_hi, 20001)
+        _, Wp = potential_eval_grad(pot, u)
+        return (self.modulation.a_upper * float(np.max(np.abs(Wp)))
+                + 2 * abs(pot.zeta1) + 2 * abs(pot.zeta2) + 1.0)
 
 
 # --------------------------------------------------------------------------

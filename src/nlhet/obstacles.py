@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .discretize import Grid, Profile, strang_symbol, workspace_for
-from .model import ProblemSpec, potential_eval_grad
+from .model import ProblemSpec
 
 __all__ = [
     "ObstacleConfig",
@@ -64,12 +65,9 @@ class EnvelopeClauseError(RuntimeError):
 
 
 def compute_rhs_constant(spec: ProblemSpec) -> float:
-    """C0 = sup |a W'| + 2|zeta1| + 2|zeta2| + 1, the sup over the well sandwich."""
-    pot = spec.potential
-    u = np.linspace(pot.well_lo, pot.well_hi, 20001)
-    _, Wp = potential_eval_grad(pot, u)
-    return (spec.modulation.a_upper * float(np.max(np.abs(Wp)))
-            + 2 * abs(pot.zeta1) + 2 * abs(pot.zeta2) + 1.0)
+    """C0 = sup |a W'| + 2|zeta1| + 2|zeta2| + 1, the sup over the well
+    sandwich (``ProblemSpec.rhs_constant``, computed once per spec)."""
+    return spec.rhs_constant
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,17 @@ class ObstaclePair:
     zeta2: float
     rhs_scale: float
     eta: float
+
+    @cached_property
+    def corridor(self) -> Tuple[slice, np.ndarray, np.ndarray]:
+        """The faithful barriers between b1 and b2: (slice of the nodes
+        strictly inside, upper values there, lower values there), from one
+        ``faithful_barriers`` call on first use."""
+        phi, psi = faithful_barriers(self)
+        x = phi.x
+        mid = slice(np.searchsorted(x, self.cfg.b1, "right"),
+                    np.searchsorted(x, self.cfg.b2, "left"))
+        return mid, phi.values[mid].copy(), psi.values[mid].copy()
 
 
 def _band_indices(grid: Grid, cfg: ObstacleConfig) -> np.ndarray:
@@ -236,7 +245,7 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
-    return ((6.0 * t - 15.0) * t + 10.0) * t ** 3
+    return ((6.0 * t - 15.0) * t + 10.0) * (t * t * t)
 
 
 def _bump(x: np.ndarray, lo: float, hi: float, rise: float) -> np.ndarray:

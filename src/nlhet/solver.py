@@ -6,9 +6,13 @@ fixed when it lies within min(stationarity, 1e-3) of a bound with the
 gradient pushing outward; the window edges are always fixed.  Fixed nodes
 take the projected gradient step.  On the free nodes, preconditioned CG
 solves the Newton system to the relative residual min(0.5, sqrt(stationarity)),
-with the Strang circulant of the stage Hessian as preconditioner (an FFT pair
-of length n per application).  If CG meets negative curvature at its first step
-(the stage is locally nonconvex, a W'' < 0) the direction is -g instead.
+with the Strang circulant of the stage Hessian as preconditioner.  The
+circulant has the fast length M, the next power of two >= n: a residual is
+zero-padded to M, solved by one FFT pair of length M and cut back to n nodes,
+which applies E^T C_M^-1 E, a compression of an SPD inverse and so SPD
+(R. Chan & Ng, SIAM Review 38, 1996, section 3).  If CG meets negative
+curvature at its first step (the stage is locally nonconvex, a W'' < 0) the
+direction is the first preconditioned residual instead.
 Armijo backtracking along the projection arc accepts only a strict energy
 decrease.  The stationarity measure is ||Q - proj(Q - g)||_2 with g the
 discrete energy gradient, so at free nodes the Euler-Lagrange residual is
@@ -16,7 +20,9 @@ bounded by grad_tol / h at convergence.
 
 The continuation runs one list of (mu, eta) stages with warm starts: every
 eta down to 0 for each positive penalty weight mu, then always an
-unpenalized polish (mu = eta = 0, well clamp only).  The problem is solved
+unpenalized polish (mu = eta = 0, well clamp only).  Every stage shares one
+``_Core`` with the pieces that depend only on (spec, grid, reference), and
+each obstacle pair is built once per viscosity.  The problem is solved
 in the orientation it is given in: the left far field is zeta1 and the right
 one zeta2, whichever well is the larger.  The completed stages and their
 trace rows are all that a resumed run needs to continue exactly.  The
@@ -40,8 +46,7 @@ from .discretize import (Grid, Profile, operator_field, operator_linear,
 from .energy import EnergyBreakdown, _check_far_fields
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
                     verify_model)
-from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
-                        faithful_barriers)
+from .obstacles import ObstacleConfig, ObstaclePair, barrier_pair
 
 __all__ = [
     "SolverConfig",
@@ -184,42 +189,59 @@ def truncate_to_wells(Q: Profile, pot) -> Profile:
 # --------------------------------------------------------------------------
 
 
-class _Stage:
-    """One (eta, mu) subproblem with cached convolutions of the reference."""
+class _Core:
+    """The pieces of the (eta, mu) functional that no stage changes: the
+    workspace, the modulation a on the grid, the trapezoid weights, the
+    reference and its convolution, the weight of the interaction's cross
+    term and the curvature a W'' at the wells.  Built once per
+    (spec, grid, ref) and shared by every stage of a run."""
 
-    def __init__(self, spec: ProblemSpec, grid: Grid, ref: Profile,
-                 eta: float, mu: float, pair: Optional[ObstaclePair],
-                 cfg: Optional[ObstacleConfig]):
+    def __init__(self, spec: ProblemSpec, grid: Grid, ref: Profile):
         self.spec, self.grid, self.ref = spec, grid, ref
-        self.eta, self.mu = eta, mu
-        self.ws = workspace_for(spec.kernel, grid)
+        self.ws = ws = workspace_for(spec.kernel, grid)
         n, h = grid.n, grid.h
         self.h = h
         self.a = np.asarray(spec.modulation(grid.x))
         self.tw = np.full(n, h)
         self.tw[0] = self.tw[-1] = h / 2.0
-        self.ref_vals = ref.values
-        self.conv_ref = self.ws.conv(self.ref_vals)
-        ws = self.ws
-        # per-stage weight of the interaction's cross term: svr = 2 h sum(v w_ref)
-        self.w_ref = (self.ref_vals * ws.rho - self.conv_ref
-                      + (self.ref_vals - ref.left_const) * ws.Wl
-                      + (self.ref_vals - ref.right_const) * ws.Wr)
+        rv = ref.values
+        self.conv_ref = ws.conv(rv)
+        # weight of the interaction's cross term: svr = 2 h sum(v w_ref)
+        self.w_ref = (rv * ws.rho - self.conv_ref
+                      + (rv - ref.left_const) * ws.Wl
+                      + (rv - ref.right_const) * ws.Wr)
+        pot = spec.potential
+        # the preconditioner's curvature: a W'' frozen at its mean over the
+        # wells; its FFT length: the next power of two >= n
+        self.c_wells = float(np.mean(self.a)) * float(np.mean(
+            potential_hess(pot, np.array([pot.zeta1, pot.zeta2]))))
+        self.M = 1 << (n - 1).bit_length()
+
+
+class _Stage:
+    """One (eta, mu) subproblem on a shared ``_Core``."""
+
+    def __init__(self, core: _Core, eta: float, mu: float,
+                 pair: Optional[ObstaclePair], cfg: Optional[ObstacleConfig]):
+        self.core = core
+        self.spec, self.grid, self.ref = core.spec, core.grid, core.ref
+        ws, h = core.ws, core.h
+        self.ws, self.h, self.a = ws, h, core.a
+        self.eta, self.mu = eta, mu
+        n = self.grid.n
         self.trials = 0
         self.cg = 0
-        # Strang circulant of the stage Hessian, with the curvature a W''
-        # frozen at its mean over the wells: eigenvalues from one rfft
-        pot = spec.potential
-        m = (n - 1) // 2
-        c_well = float(np.mean(self.a)) * float(np.mean(
-            potential_hess(pot, np.array([pot.zeta1, pot.zeta2])))) + mu
-        self.symbol = strang_symbol(ws.diag[m] + c_well, ws.w, eta / h ** 2, n, h)
+        # Strang circulant of the stage Hessian at the fast length M >= n:
+        # its eigenvalues from one rfft
+        self.symbol = strang_symbol(ws.diag[(n - 1) // 2] + (core.c_wells + mu),
+                                    ws.w, eta / h ** 2, core.M, h)
         # feasible box: well sandwich, intersected with the obstacle band
+        pot = self.spec.potential
         self.lob = np.full(n, pot.well_lo)
         self.upb = np.full(n, pot.well_hi)
         self.pair, self.cfg = pair, cfg
         if pair is not None:
-            x = grid.x
+            x = self.grid.x
             region = (x <= cfg.b1) | (x >= cfg.b2)
             self.lob[region] = np.maximum(self.lob[region], pair.Psi.values[region])
             self.upb[region] = np.minimum(self.upb[region], pair.Phi.values[region])
@@ -235,16 +257,16 @@ class _Stage:
         A non-finite piece raises NonFiniteEnergyError naming the term.
         """
         self.trials += 1
-        h = self.h
-        v = q - self.ref_vals
+        core, h = self.core, self.h
+        v = q - self.ref.values
         cv = self.ws.conv(v)
         W, Wp = potential_eval_grad(self.spec.potential, q)
         dv = np.diff(q) / h
         visc = 0.5 * self.eta * float(np.sum(dv * dv)) * h
-        pen = 0.5 * self.mu * float(np.sum(v ** 2 * self.tw))
-        pot = float(np.sum(self.a * W * self.tw))
+        pen = 0.5 * self.mu * float(np.sum(v ** 2 * core.tw))
+        pot = float(np.sum(self.a * W * core.tw))
         svv = self.seminorm_sq(v, cv)
-        svr = 2 * h * float(np.sum(v * self.w_ref))
+        svr = 2 * h * float(np.sum(v * core.w_ref))
         inter = 0.25 * (svv + 2.0 * svr)
         pieces = (visc, pen, pot, inter)
         for term, val in zip(("viscous", "penalty", "potential", "interaction"), pieces):
@@ -278,10 +300,10 @@ class _Stage:
         conv_q = Wp = None
         if parts is not None:
             conv_v, Wp = parts
-            conv_q = conv_v + self.conv_ref
+            conv_q = conv_v + self.core.conv_ref
         g = self.h * operator_field(self.ws, q, self.ref.left_const,
                                     self.ref.right_const, self.spec, self.a,
-                                    self.eta, self.mu, self.ref_vals,
+                                    self.eta, self.mu, self.ref.values,
                                     conv_q=conv_q, Wp=Wp)
         g[0] = g[-1] = 0.0
         return g
@@ -295,8 +317,10 @@ class _Stage:
         return self.h * operator_linear(self.ws, p, c, self.eta)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The Strang circulant's inverse applied to r."""
-        return np.fft.irfft(np.fft.rfft(r) / self.symbol, r.size)
+        """The Strang circulant's inverse applied to r, zero-padded to the
+        fast length and cut back to n nodes."""
+        M = self.core.M
+        return np.fft.irfft(np.fft.rfft(r, M) / self.symbol, M)[:r.size]
 
     def project(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.lob, self.upb)
@@ -416,7 +440,7 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace)
     contact = _contact_nodes(q, stage.pair, stage.grid)
     if stage.pair is not None:
-        _assert_barrier_comparison(q, stage.pair, stage.cfg)
+        _assert_barrier_comparison(q, stage.pair)
     record = StageRecord(stage.mu, stage.eta, it, sum(pieces), rn, len(contact),
                          stage.trials, stage.cg)
     log.info("stage mu=%g eta=%g: %d iterations, %d trials, %d cg, "
@@ -442,7 +466,7 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
     grid = Q0.grid
     if ref is None:
         ref = reference_profile(spec, grid)
-    stage = _Stage(spec, grid, ref, eta, mu, pair, cfg)
+    stage = _Stage(_Core(spec, grid, ref), eta, mu, pair, cfg)
     trace: List[Tuple] = []
     q, pieces, contact, record = _run_stage(stage, Q0.values,
                                             solver_cfg or SolverConfig(), trace)
@@ -460,12 +484,10 @@ def _stage_residual_max(stage: _Stage, q: np.ndarray) -> float:
 
 
 def _assert_barrier_comparison(q: np.ndarray, pair: ObstaclePair,
-                               cfg: ObstacleConfig, tol: float = 1e-6) -> None:
-    phi_f, psi_f = faithful_barriers(pair)
-    x = phi_f.x
-    mid = (x > cfg.b1) & (x < cfg.b2)
-    over = float(np.max(q[mid] - phi_f.values[mid]))
-    under = float(np.max(psi_f.values[mid] - q[mid]))
+                               tol: float = 1e-6) -> None:
+    mid, phi_mid, psi_mid = pair.corridor
+    over = float(np.max(q[mid] - phi_mid))
+    under = float(np.max(psi_mid - q[mid]))
     if over > tol or under > tol:
         raise SolverError(
             f"minimizer escapes the faithful barrier corridor between b1 and "
@@ -533,22 +555,23 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     if resume is not None:
         stages, trace, q = list(resume[0]), list(resume[1]), resume[2]
 
-    pairs = {}  # the barrier problem does not involve mu: one pair per eta
-
-    def pair_at(eta):
-        if eta not in pairs:
-            pairs[eta] = barrier_pair(spec, obstacle_cfg, grid, eta)
-        return pairs[eta]
-
-    for mu, eta in plan[len(stages):]:
-        pair = pair_at(eta) if mu > 0 else None
-        stage = _Stage(spec, grid, ref, eta, mu, pair, obstacle_cfg)
+    todo = plan[len(stages):]
+    # the barrier problem does not involve mu: one pair per eta that a
+    # remaining stage needs, plus the eta = 0 pair of the contact report,
+    # all built before the stages' core so that no stage array is alive
+    # during a barrier solve
+    pairs = {eta: barrier_pair(spec, obstacle_cfg, grid, eta) for eta in
+             dict.fromkeys([eta for mu, eta in todo if mu > 0] + [0.0])}
+    core = _Core(spec, grid, ref)
+    for mu, eta in todo:
+        pair = pairs[eta] if mu > 0 else None
+        stage = _Stage(core, eta, mu, pair, obstacle_cfg)
         q, _, _, record = _run_stage(stage, q, solver_cfg, trace)
         stages.append(record)
         if stage_callback is not None:
             stage_callback(list(stages), list(trace), q)
     Q = Profile(grid, q, ref.left_const, ref.right_const)
-    last_pair = pair_at(0.0)  # etas() ends in 0
+    last_pair = pairs[0.0]
     contact = _contact_nodes(q, last_pair, grid)
 
     rmax, _ = residual_EL(Q, spec)
@@ -563,7 +586,7 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     rise = pot.zeta2 - pot.zeta1
     mono = bool(np.all(np.diff(Q.values) * np.sign(rise) >= -1e-3 * abs(rise)))
 
-    stage0 = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
+    stage0 = _Stage(core, 0.0, 0.0, None, None)
     bd = EnergyBreakdown(*stage0.energy_pieces(Q.values))
     return SolveResult(profile=Q, breakdown=bd, residual_max=rmax,
                        contact=contact, trace=trace, pair=last_pair,
@@ -601,7 +624,7 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     h1 = math.sqrt(float(np.sum(np.diff(v) ** 2)) / h)
     # [v]^2_K and the renormalized interaction E_R2 = [v]^2_K + 2 B(v, ref),
     # four times the stage's interaction piece, from one trial
-    stage = _Stage(spec, grid, ref, 0.0, 0.0, None, None)
+    stage = _Stage(_Core(spec, grid, ref), 0.0, 0.0, None, None)
     pieces, (cv, _) = stage.trial(Q.values)
     vk = math.sqrt(max(stage.seminorm_sq(v, cv), 0.0))
     vinf = float(np.abs(v).max())

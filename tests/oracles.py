@@ -4,8 +4,9 @@ These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
 intervals, a plain double-midpoint sum for the Gagliardo forms, the
 full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
-solve of the barrier problem, exactly rounded Toeplitz row sums, and power
-kernel cell masses as a difference of two powers.
+solve of the barrier problem, exactly rounded Toeplitz row sums, power
+kernel cell masses as a difference of two powers, and the compressed inverse
+of a Strang circulant by dense inversion.
 """
 
 from __future__ import annotations
@@ -163,3 +164,21 @@ def two_power_cell_masses(ker, h: float, mmax: int) -> np.ndarray:
     if ker.form == "truncated_power":
         lo, hi = np.minimum(lo, ker.r0), np.minimum(hi, ker.r0)
     return ker.c * (lo ** (-2.0 * ker.s) - hi ** (-2.0 * ker.s)) / (2.0 * ker.s)
+
+
+def dense_compressed_circulant_inverse(d0: float, w: np.ndarray, c: float,
+                                       M: int, scale: float,
+                                       n: int) -> np.ndarray:
+    """E^T C^-1 E with C the M x M Strang circulant of the Toeplitz operator
+    with d0 + 2c on the diagonal and -w[k-1] - c [k = 1] at offset k, times
+    ``scale``, and E the embedding of n nodes into M: the leading n x n block
+    of the dense inverse of the explicitly assembled circulant."""
+    m = (M - 1) // 2
+    t = np.zeros(m + 1)
+    t[0] = d0 + 2.0 * c
+    t[1:] = -w[:m]
+    t[1] -= c
+    offset = np.arange(M)[:, None] - np.arange(M)[None, :]
+    k = np.minimum(offset % M, -offset % M)  # the circular distance
+    C = scale * np.where(k <= m, t[np.minimum(k, m)], 0.0)
+    return np.linalg.inv(C)[:n, :n]

@@ -4,7 +4,6 @@ import logging
 import math
 import os
 import shutil
-import socket
 import subprocess
 import sys
 
@@ -137,6 +136,26 @@ class TestVerifyModel:
                              env=env, capture_output=True, text=True)
         assert run.returncode == 1  # the exit code of cli.main, not an import error
         assert "nondegeneracy" in run.stdout
+
+
+def test_import_is_light_and_complete():
+    # importing the CLI loads every module of the package (traced benchmark
+    # runs wrap them right after this import) but neither the socket stack
+    # nor the thread pool, and freezes the import-time objects out of the
+    # garbage collector
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import gc, json, sys, nlhet.cli; print(json.dumps("
+            "[sorted(sys.modules), gc.get_freeze_count()]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    loaded, frozen = json.loads(run.stdout)
+    assert "socket" not in loaded
+    assert "concurrent.futures" not in loaded
+    package = {f"nlhet.{name[:-3]}" for name in os.listdir(os.path.join(src, "nlhet"))
+               if name.endswith(".py") and name not in ("__init__.py", "__main__.py")}
+    assert package <= set(loaded)
+    assert frozen > 0
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +348,7 @@ class TestSolve:
     def test_lock_of_another_run_env_error(self, solved, tmp_path, dead_pid,
                                            owner):
         code, tmp, cfg, out = solved
-        host = socket.gethostname()
+        host = os.uname().nodename
         text = {"malformed": "12@", "live": f"{os.getpid()}@{host}",
                 "other-host": f"{dead_pid}@not-{host}"}[owner]
         lock = tmp_path / ".nlhet.lock"
@@ -338,7 +357,7 @@ class TestSolve:
         assert lock.read_text() == text
 
     def test_lock_of_dead_run_taken_over(self, tmp_path, dead_pid):
-        host = socket.gethostname()
+        host = os.uname().nodename
         lock = tmp_path / ".nlhet.lock"
         lock.write_text(f"{dead_pid}@{host}")
         with _Lock(str(tmp_path)):

@@ -6,7 +6,8 @@ import pytest
 from nlhet.discretize import Grid, Profile, WHOLE_LINE, apply_full_operator, apply_nonlocal
 from nlhet.energy import renormalized_interaction, total_energy
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import _Stage, minimize_constrained, verify_apriori_bounds
+from nlhet.solver import (_Core, _Stage, minimize_constrained,
+                          verify_apriori_bounds)
 
 from conftest import homogeneous_spec, layer, reference_on
 from oracles import trapz
@@ -123,7 +124,8 @@ class TestEnergyGradient:
     def test_matches_operator_identically(self, setup):
         spec, grid, ref = setup
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
-        g1 = _Stage(spec, grid, ref, 0.3, 0.2, None, None).gradient(Q.values)[1:-1]
+        stage = _Stage(_Core(spec, grid, ref), 0.3, 0.2, None, None)
+        g1 = stage.gradient(Q.values)[1:-1]
         g2 = grid.h * apply_full_operator(Q, spec, 0.3, 0.2, ref)
         assert np.array_equal(g1, g2)
 

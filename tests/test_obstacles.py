@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlhet import obstacles
+from nlhet import model, obstacles
 from nlhet.discretize import Grid, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import (BarrierSolveError, EnvelopeClauseError,
@@ -13,7 +13,8 @@ from nlhet.obstacles import (BarrierSolveError, EnvelopeClauseError,
                              band_check, barrier_pair, build_envelopes,
                              compute_rhs_constant, faithful_barriers,
                              solve_barrier)
-from nlhet.solver import SolverError, _Stage
+from nlhet.solver import (ContinuationSchedule, SolverConfig, SolverError,
+                          _Core, _Stage, continuation_run)
 
 from conftest import homogeneous_spec, modulated_spec, reference_on
 from oracles import dense_barrier
@@ -38,6 +39,27 @@ class TestRhsConstant:
         # sup|a W'| = 2.5 * 1 for the cosine potential on {0, 2pi}
         expected = 2.5 * 1.0 + 0.0 + 2 * TWO_PI + 1.0
         assert compute_rhs_constant(spec) == pytest.approx(expected, rel=1e-6)
+
+    def test_swept_once_per_spec(self, monkeypatch):
+        # C0 depends on the model only: every barrier solve of a continuation
+        # (one per viscosity) shares one 20001-sample sweep of W'
+        spec = homogeneous_spec()
+        real = model.potential_eval_grad
+        sweeps = []
+
+        def counting(pot, u):
+            sweeps.append(np.size(u) == 20001)
+            return real(pot, u)
+
+        monkeypatch.setattr(model, "potential_eval_grad", counting)
+        grid = Grid(R=40.0, n=401)
+        sched = ContinuationSchedule(eta_seq=(1e-1, 1e-2, 0.0), mu_seq=(1e-1,))
+        continuation_run(spec, grid, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
+                         sched, SolverConfig())
+        assert sum(sweeps) == 1
+        assert compute_rhs_constant(spec) == pytest.approx(
+            1.0 + 2 * TWO_PI + 1.0, rel=1e-6)
+        assert sum(sweeps) == 1
 
 
 class TestSolveBarrier:
@@ -247,6 +269,22 @@ class TestEnvelopes:
         phi_f, psi_f = faithful_barriers(pair)
         assert np.max(np.abs(phi_f.values - phi.values)) < 1e-8
         assert np.max(np.abs(psi_f.values - psi.values)) < 1e-8
+        mid, phi_mid, psi_mid = copy.deepcopy(pair).corridor
+        inside = (grid.x > cfg.b1) & (grid.x < cfg.b2)
+        assert np.array_equal(np.arange(grid.n)[mid], np.flatnonzero(inside))
+        assert np.array_equal(phi_mid, phi_f.values[inside])
+        assert np.array_equal(psi_mid, psi_f.values[inside])
+
+    def test_smoothstep_within_two_ulp_of_pow_form(self):
+        # t >= 1e-100 keeps t^3 a normal number, where an ulp is relative
+        t = np.concatenate([np.linspace(-0.5, 1.5, 200001),
+                            np.random.default_rng(3).random(100000),
+                            np.geomspace(1e-100, 1.0, 20001)])
+        got = obstacles._smoothstep(t)
+        tc = np.clip(t, 0.0, 1.0)
+        want = ((6.0 * tc - 15.0) * tc + 10.0) * tc ** 3
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert got[0] == 0.0 and got[200000] == 1.0
 
 
 class TestStageProjection:
@@ -256,7 +294,7 @@ class TestStageProjection:
         spec, grid, cfg, _, _, pair = barrier_setup
         pot = spec.potential
         ref = reference_on(spec, grid)
-        stage = _Stage(spec, grid, ref, 1e-2, 1e-1, pair, cfg)
+        stage = _Stage(_Core(spec, grid, ref), 1e-2, 1e-1, pair, cfg)
         out = stage.project(ref.values + 10.0)
         x = grid.x
         left, right = x <= cfg.b1, x >= cfg.b2
@@ -272,4 +310,4 @@ class TestStageProjection:
         bad = copy.deepcopy(pair)
         bad.Psi.values[:] = bad.Phi.values + 1.0
         with pytest.raises(SolverError, match="empty feasible box"):
-            _Stage(spec, grid, reference_on(spec, grid), 1e-2, 1e-1, bad, cfg)
+            _Stage(_Core(spec, grid, reference_on(spec, grid)), 1e-2, 1e-1, bad, cfg)

@@ -10,11 +10,12 @@ from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
 from nlhet import obstacles, solver
 from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
-                          SolverConfig, SolverError, StagnationError, _Stage,
-                          continuation_run, minimize_constrained, residual_EL,
-                          truncate_to_wells, verify_apriori_bounds)
+                          SolverConfig, SolverError, StagnationError, _Core,
+                          _Stage, continuation_run, minimize_constrained,
+                          residual_EL, truncate_to_wells, verify_apriori_bounds)
 
 from conftest import (homogeneous_spec, layer, modulated_spec, reference_on)
+from oracles import dense_compressed_circulant_inverse
 
 TWO_PI = 2 * math.pi
 
@@ -228,7 +229,7 @@ class TestFusedEvaluation:
         ref = reference_on(spec, grid)
         bump = np.exp(-grid.x ** 2 / 8.0) * np.sin(grid.x)
         q = np.clip(ref.values + bump, 0.0, TWO_PI)
-        stage = _Stage(spec, grid, ref, 1e-2, 0.05, None, None)
+        stage = _Stage(_Core(spec, grid, ref), 1e-2, 0.05, None, None)
         pieces, g = stage.evaluate(q)
         assert pieces == stage.energy_pieces(q)
         g_ref = stage.gradient(q)
@@ -253,22 +254,41 @@ class TestNewtonCG:
         q = np.clip(ref.values + np.exp(-x ** 2 / 8.0) * np.sin(x), 0.0, TWO_PI)
         p = np.exp(-(x - 3.0) ** 2 / 20.0) * np.cos(x / 2.0)
         p[0] = p[-1] = 0.0
-        stage = _Stage(spec, grid, ref, 0.05, 0.1, None, None)
+        stage = _Stage(_Core(spec, grid, ref), 0.05, 0.1, None, None)
         d = 1e-5
         fd = (stage.gradient(q + d * p) - stage.gradient(q - d * p)) / (2 * d)
         Hp = stage.hessvec(stage.curvature(q), p)
         err = np.max(np.abs(Hp[1:-1] - fd[1:-1]))
         assert err <= 1e-7 * np.max(np.abs(fd))
 
-    def test_preconditioner_cuts_cg_iterations(self, monkeypatch):
-        # the first stage (eta = mu = 0.1) of the anchor run at n = 8001: one
-        # Newton system to a relative residual of 1e-6, with and without the
-        # Strang circulant (5 against 95 CG iterations here)
+    def test_padded_preconditioner_matches_dense_oracle(self):
+        # at n = 33 the circulant has the fast length M = 64; zero-padding
+        # r and cutting the result back to n nodes applies E^T C_M^-1 E,
+        # which is symmetric positive definite
+        spec = modulated_spec()
+        grid = Grid(R=4.0, n=33)
+        core = _Core(spec, grid, reference_on(spec, grid))
+        eta, mu = 0.05, 0.1
+        stage = _Stage(core, eta, mu, None, None)
+        assert core.M == 64
+        P = np.column_stack([stage.precondition(e) for e in np.eye(grid.n)])
+        ws, h = core.ws, grid.h
+        dense = dense_compressed_circulant_inverse(
+            ws.diag[16] + (core.c_wells + mu), ws.w, eta / h ** 2, core.M, h,
+            grid.n)
+        assert np.max(np.abs(P - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.max(np.abs(P - P.T)) <= 1e-12 * np.max(np.abs(P))
+        assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
+
+    @staticmethod
+    def _check_preconditioner_cuts_cg_iterations(monkeypatch, grid):
+        # the first stage (eta = mu = 0.1) of the anchor run: one Newton
+        # system to a relative residual of 1e-6, with and without the Strang
+        # circulant (5 against 95 CG iterations at n = 8001 and at 16001)
         spec = homogeneous_spec()
-        grid = Grid(R=200.0, n=8001)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
         ref = reference_on(spec, grid)
-        stage = _Stage(spec, grid, ref, 0.1, 0.1,
+        stage = _Stage(_Core(spec, grid, ref), 0.1, 0.1,
                        barrier_pair(spec, cfg, grid, 0.1), cfg)
         q = stage.project(ref.values)
         _, g = stage.evaluate(q)
@@ -283,6 +303,15 @@ class TestNewtonCG:
         for d in (d_pre, d_plain):
             res = stage.hessvec(c, d)[1:-1] + g[1:-1]
             assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(g)
+
+    def test_preconditioner_cuts_cg_iterations(self, monkeypatch):
+        self._check_preconditioner_cuts_cg_iterations(monkeypatch,
+                                                      Grid(R=200.0, n=8001))
+
+    def test_preconditioner_cuts_cg_iterations_at_n16001(self, monkeypatch):
+        # the window of the tail-decay runs: the circulant at length 16384
+        self._check_preconditioner_cuts_cg_iterations(monkeypatch,
+                                                      Grid(R=400.0, n=16001))
 
 
 class TestSchedule:
@@ -335,8 +364,19 @@ class TestBarrierCache:
             return real(spec, cfg, grid, eta)
 
         monkeypatch.setattr(obstacles, "solve_barrier", counting)
+        real_faithful = obstacles.faithful_barriers
+        faithful = []
+
+        def counting_faithful(pair):
+            faithful.append(pair.eta)
+            return real_faithful(pair)
+
+        # the barrier comparison after each constrained stage reconstructs
+        # the faithful barriers once per pair too
+        monkeypatch.setattr(obstacles, "faithful_barriers", counting_faithful)
         res = continuation_run(spec, grid, cfg, sched, SolverConfig())
         assert sorted(keys) == sorted(sched.etas())
+        assert sorted(faithful) == sorted(sched.etas())
         assert len(res.stages) == 7
         assert res.pair.eta == 0.0
 

@@ -185,7 +185,7 @@ def _log_cells(lo_abs: float, hi_abs: float, ppd: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 32
 
 
 def _nonuniform_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
@@ -202,7 +202,8 @@ def _nonuniform_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
     Both the summand and the cell masses are symmetric in the pair, so the
     sum runs over the upper triangle and is doubled: the adjacent pairs
     j = i + 1, then the separated pairs j >= i + 2 in blocks of
-    ``_BLOCK_ROWS`` rows, so no temporary is larger than ``_BLOCK_ROWS`` x m.
+    ``_BLOCK_ROWS`` rows, computed in place in three ``_BLOCK_ROWS`` x m
+    buffers.
     """
     mids = 0.5 * (edges[1:] + edges[:-1])
     widths = np.diff(edges)
@@ -216,17 +217,34 @@ def _nonuniform_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
                          * keep[:-1] * keep[1:]))
     # separated pairs, exact mass over [a_i, b_i] x [a_j, b_j]:
     #   log((a_j - a_i)(b_j - b_i) / ((a_j - b_i)(b_j - a_i)))
-    # rows i0 <= i < i1 against columns j >= i0 + 2; np.triu keeps j >= i + 2
+    # rows i0 <= i < i1 against columns j >= i0 + 2; the block's entries with
+    # j < i + 2 (column offset below row offset) are zeroed
+    bufs = np.empty((3, _BLOCK_ROWS, m))
+    below = np.tril(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), bool), -1)
     for i0 in range(0, m - 2, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, m - 2)
+        r, c = i1 - i0, m - i0 - 2
+        mass, den, diffs = bufs[:, :r, :c]
         A1, B1 = a[i0:i1, None], b[i0:i1, None]
         A2, B2 = a[None, i0 + 2:], b[None, i0 + 2:]
+        np.subtract(A2, A1, out=mass)
+        np.subtract(B2, B1, out=diffs)
+        mass *= diffs
+        np.subtract(A2, B1, out=den)
+        np.subtract(B2, A1, out=diffs)
+        den *= diffs
+        np.abs(mass, out=mass)
+        np.abs(den, out=den)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mass = np.triu(np.log(np.abs((A2 - A1) * (B2 - B1))
-                                  / np.abs((A2 - B1) * (B2 - A1))))
-        diffs = (f_mid[i0:i1, None] - f_mid[None, i0 + 2:]) ** 2
-        upper += float(np.sum(diffs * mass * keep[i0:i1, None]
-                              * keep[None, i0 + 2:]))
+            mass /= den
+            np.log(mass, out=mass)
+        mass[:, :r][below[:r, :r]] = 0.0
+        np.subtract(f_mid[i0:i1, None], f_mid[None, i0 + 2:], out=diffs)
+        np.square(diffs, out=diffs)
+        diffs *= mass
+        diffs *= keep[i0:i1, None]
+        diffs *= keep[None, i0 + 2:]
+        upper += float(np.sum(diffs))
     total = 2.0 * upper
     # exterior (f = 0 there), both pair orders, midpoint in x
     ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)

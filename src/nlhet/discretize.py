@@ -23,9 +23,13 @@ the diagonal rho + Wl + Wr is 2 T(h/2); only a tabulated kernel convolves
 
 All weights depend only on |i - j|, so operator application and every
 double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
-summation order (deterministic output for identical input).  The FFT length
-is the next power of two >= 2n - 1: the circular wrap-around of the length
-3n - 2 linear convolution then misses the n output samples that are kept.
+summation order (deterministic output for identical input).  The Toeplitz
+matrix embeds in a symmetric circulant of length L, the next power of two
+>= 2n - 1 (R. Chan & Ng, SIAM Rev. 38, 1996): its first column is
+[0, w_1 .. w_{n-1}, 0 .., w_{n-1} .. w_1], its eigenvalues are real, and the
+first n outputs of the circular product with a zero-padded profile are the
+Toeplitz product.  A whole-line seminorm is then a quadratic form, which
+Parseval's identity evaluates from one forward transform, with no inverse.
 """
 
 from __future__ import annotations
@@ -165,20 +169,22 @@ class Workspace:
     row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
     ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.  A power
     or truncated power kernel takes all four from T[j] = int K beyond
-    (j + 1/2) h: w = T[:-1] - T[1:], Wl = T, Wr = T reversed, and the row
-    sums telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).  A
-    tabulated kernel has midpoint masses, zero tails (with a warning) and
+    (j + 1/2) h: w = T[:-1] - T[1:], Wl = T, Wr = T reversed (a view), and
+    the row sums telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).
+    A tabulated kernel has midpoint masses, zero tails (with a warning) and
     rho = conv(ones), the only convolution a build runs.
-    ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0) via FFT of length
-    ``_L``, the next power of two >= 2n - 1 (16384 at n = 8001): outputs
-    n - 1 .. 2n - 2 of the circular convolution then carry no aliased terms.
+    ``lam`` holds the real eigenvalues of the length-``_L`` circulant that
+    embeds the Toeplitz weights (``_L`` is the next power of two >= 2n - 1,
+    16384 at n = 8001).  ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0)
+    is the first n outputs of that circulant times the zero-padded f, and
+    ``quad(f) = f . conv(f)`` is its Parseval sum over one forward transform.
     """
 
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.kernel, self.grid = kernel, grid
         n, h = grid.n, grid.h
         self._n = n
-        self._L = 1 << (2 * n - 2).bit_length()
+        self._L = L = 1 << (2 * n - 2).bit_length()
         if kernel.form == "tabulated":
             logging.getLogger("nlhet").warning(
                 "tabulated kernel: exterior tails are truncated to zero")
@@ -189,18 +195,31 @@ class Workspace:
             T = _tail_moment(kernel, (np.arange(n) + 0.5) * h)
             self.w = T[:-1] - T[1:]
             self.Wl = T
-            self.Wr = T[::-1].copy()
+            self.Wr = T[::-1]
             self.rho = 2.0 * T[0] - self.Wl - self.Wr
-        self._ker_f = np.fft.rfft(np.concatenate([self.w[::-1], [0.0], self.w]),
-                                  self._L)
+        col = np.zeros(L)
+        col[1:n] = self.w
+        col[L - n + 1:] = self.w[::-1]
+        self.lam = np.fft.rfft(col).real.copy()
         if kernel.form == "tabulated":
             self.rho = self.conv(np.ones(n))
         self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
         ff = np.fft.rfft(f, self._L)
-        full = np.fft.irfft(ff * self._ker_f, self._L)
-        return full[self._n - 1:2 * self._n - 1].copy()
+        ff *= self.lam
+        return np.fft.irfft(ff, self._L)[:self._n].copy()
+
+    def quad(self, f: np.ndarray) -> float:
+        """f . conv(f) = sum_k lam_k |F_k|^2 / L over the full spectrum of
+        the zero-padded f; the rfft half counts every bin twice but 0 and
+        L/2.  Summed with np.sum, not a BLAS dot: a dot this long wakes a
+        second BLAS thread that then spins."""
+        ff = np.fft.rfft(f, self._L)
+        p = ff.real * ff.real
+        p += ff.imag * ff.imag
+        p *= self.lam
+        return (2.0 * float(np.sum(p[1:-1])) + float(p[0]) + float(p[-1])) / self._L
 
 
 def strang_symbol(d0: float, w: np.ndarray, c: float, M: int,
@@ -238,17 +257,15 @@ def _kernel_key(ker: KernelSpec):
 def workspace_for(kernel: KernelSpec, grid: Grid) -> Workspace:
     """Cached workspace lookup; the cache is keyed by kernel and grid data.
 
-    The cache is emptied when a fourth grid arrives: a solve or diagnose
-    works on one grid, and bench-appendix never revisits one of its grids,
-    so a larger cache only holds memory.
+    The cache holds the latest workspace only, and drops it before another
+    is built: a solve or diagnose works on one grid, and bench-appendix
+    never revisits one of its grids, so a larger cache only holds memory.
     """
     key = (_kernel_key(kernel), grid.R, grid.n)
     ws = _WS_CACHE.get(key)
     if ws is None:
-        ws = Workspace(kernel, grid)
-        if len(_WS_CACHE) > 2:
-            _WS_CACHE.clear()
-        _WS_CACHE[key] = ws
+        _WS_CACHE.clear()
+        ws = _WS_CACHE[key] = Workspace(kernel, grid)
     return ws
 
 
@@ -368,15 +385,20 @@ def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
     convolves to the row sums ``ws.rho`` (``conv(ones)`` up to round-off
     once they telescope, for power-law kernels); equal masks share one mask
     convolution between t1 and t2; equal masks with equal centered f and g
-    make t4 = t3.  Over finite intervals the result is the same bits as four
-    separate convolutions.  A whole-line seminorm costs one convolution, a
-    seminorm over one finite interval two.
+    make t4 = t3.  Two all-true masks with equal centered f and g give
+    t1 = t2 = sum f^2 rho and t3 = t4 = ``ws.quad(f)``, so a whole-line
+    seminorm costs one forward transform and no convolution.  Every other
+    case is the four-convolution sum, bit for bit; a seminorm over one
+    finite interval costs two convolutions.
     """
     f = f - f.mean()
     g = g - g.mean()
+    same_mask = np.array_equal(mx, my)
+    same_f = np.array_equal(f, g)
+    if same_mask and same_f and mx.all():
+        return 2.0 * (float(np.sum(f * f * ws.rho)) - ws.quad(f))
     cx = mx.astype(np.float64)
     cy = my.astype(np.float64)
-    same_mask = np.array_equal(mx, my)
     conv_cy = ws.rho if my.all() else ws.conv(cy)
     if same_mask:
         conv_cx = conv_cy
@@ -385,7 +407,7 @@ def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
     t1 = np.sum(f * g * cx * conv_cy)
     t2 = np.sum(f * g * cy * conv_cx)
     t3 = np.sum(f * cx * ws.conv(g * cy))
-    if same_mask and np.array_equal(f, g):
+    if same_mask and same_f:
         t4 = t3
     else:
         t4 = np.sum(g * cx * ws.conv(f * cy))

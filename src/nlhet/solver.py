@@ -287,9 +287,6 @@ class _Stage:
         pieces, parts = self.trial(q)
         return pieces, self.gradient(q, parts)
 
-    def energy_pieces(self, q: np.ndarray) -> Tuple[float, float, float, float]:
-        return self.trial(q)[0]
-
     def gradient(self, q: np.ndarray,
                  parts: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
         """h * (full operator field), pinned to zero at the window edges.
@@ -472,15 +469,16 @@ def minimize_constrained(Q0: Profile, spec: ProblemSpec,
                                             solver_cfg or SolverConfig(), trace)
     return SolveResult(profile=Profile(grid, q, Q0.left_const, Q0.right_const),
                        breakdown=EnergyBreakdown(*pieces),
-                       residual_max=_stage_residual_max(stage, q),
+                       residual_max=_residual_max(stage.gradient(q), stage.h),
                        contact=contact, trace=trace, pair=pair, stages=[record],
                        stationarity=record.stationarity,
                        iterations=record.iterations)
 
 
-def _stage_residual_max(stage: _Stage, q: np.ndarray) -> float:
-    g = stage.gradient(q) / stage.h
-    return float(np.abs(g[2:-2]).max())
+def _residual_max(g: np.ndarray, h: float) -> float:
+    """max |field| from a stage gradient g = h * field, excluding the two
+    outermost interior nodes per side (lopsided quadrature there)."""
+    return float(np.abs(g[2:-2] / h).max())
 
 
 def _assert_barrier_comparison(q: np.ndarray, pair: ObstaclePair,
@@ -574,7 +572,10 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     last_pair = pairs[0.0]
     contact = _contact_nodes(q, last_pair, grid)
 
-    rmax, _ = residual_EL(Q, spec)
+    # the energy breakdown and the residual from one evaluation at (0, 0):
+    # the gradient over h is the Euler-Lagrange field L Q + a W'(Q)
+    pieces, g = _Stage(core, 0.0, 0.0, None, None).evaluate(q)
+    rmax = _residual_max(g, grid.h)
     tol = limit_tol if limit_tol is not None else default_limit_tol(grid, spec.s)
     lim = _limit_check(Q, pot.zeta1, pot.zeta2, tol)
     if not lim["pass"]:
@@ -586,9 +587,8 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     rise = pot.zeta2 - pot.zeta1
     mono = bool(np.all(np.diff(Q.values) * np.sign(rise) >= -1e-3 * abs(rise)))
 
-    stage0 = _Stage(core, 0.0, 0.0, None, None)
-    bd = EnergyBreakdown(*stage0.energy_pieces(Q.values))
-    return SolveResult(profile=Q, breakdown=bd, residual_max=rmax,
+    return SolveResult(profile=Q, breakdown=EnergyBreakdown(*pieces),
+                       residual_max=rmax,
                        contact=contact, trace=trace, pair=last_pair,
                        stages=stages,
                        stationarity=stages[-1].stationarity,

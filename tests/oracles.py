@@ -4,9 +4,9 @@ These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
 intervals, a plain double-midpoint sum for the Gagliardo forms, the
 full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
-solve of the barrier problem, exactly rounded Toeplitz row sums, power
-kernel cell masses as a difference of two powers, and the compressed inverse
-of a Strang circulant by dense inversion.
+solve of the barrier problem, exactly rounded Toeplitz row sums and
+quadratic forms, power kernel cell masses as a difference of two powers, and
+the compressed inverse of a Strang circulant by dense inversion.
 """
 
 from __future__ import annotations
@@ -153,6 +153,31 @@ def dense_row_sums(w: np.ndarray) -> np.ndarray:
     n = w.size + 1
     return np.array([math.fsum(np.concatenate([w[:i], w[:n - 1 - i]]))
                      for i in range(n)])
+
+
+def _dense_toeplitz(w: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix with zero diagonal and w[k - 1] at offset k."""
+    k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return np.where(k > 0, np.concatenate([[0.0], w])[k], 0.0)
+
+
+def dense_toeplitz_quad(w: np.ndarray, f: np.ndarray) -> Tuple[float, float]:
+    """(f^T A f, |f|^T A |f|) for the n x n Toeplitz matrix A with zero
+    diagonal and w[k - 1] at offset k, n = f.size: the n^2 products each
+    rounded once and summed by ``math.fsum``.  The second value is the
+    scale that the round-off of any summation order is relative to."""
+    A = _dense_toeplitz(w, f.size)
+    ff = f[:, None] * f[None, :]
+    return math.fsum((ff * A).ravel()), math.fsum((np.abs(ff) * A).ravel())
+
+
+def dense_pair_sum(w: np.ndarray, f: np.ndarray, g: np.ndarray,
+                   mx: np.ndarray, my: np.ndarray) -> float:
+    """sum over i in X, j in Y of (f_i - f_j)(g_i - g_j) w_{|i-j|} (ordered
+    pairs), term by term, summed by ``math.fsum``."""
+    A = _dense_toeplitz(w, f.size)
+    terms = (f[:, None] - f[None, :]) * (g[:, None] - g[None, :]) * A
+    return math.fsum(terms[np.ix_(mx, my)].ravel())
 
 
 def two_power_cell_masses(ker, h: float, mmax: int) -> np.ndarray:

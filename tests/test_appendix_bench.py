@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nlhet import appendix_bench as ab
+from nlhet import discretize
 from nlhet.appendix_bench import (BUMP_L2_RATIO, TRACE_HHALF_RATIO,
                                   TRACE_L2_RATIO, BumpFamily, ResolutionError,
                                   TraceExample, bump_hs_ratio, bump_norms,
@@ -137,14 +139,16 @@ class TestTraceFamily:
         assert blocked == pytest.approx(psibar_seminorm(tex, 48), rel=1e-12)
 
     def test_blocked_sum_matches_dense_oracle_with_skip(self):
-        # 300 cells: two full row blocks and a partial one
+        # 20 cells: one partial row block; 300 cells: nine full row blocks
+        # and a partial one
         rng = np.random.default_rng(5)
-        edges = np.cumsum(rng.uniform(0.01, 1.0, 301)) - 40.0
-        f = rng.normal(size=300)
-        skip = rng.uniform(size=300) < 0.1
-        for sk in (None, skip):
-            assert ab._nonuniform_half_seminorm(edges, f, sk) == pytest.approx(
-                dense_half_seminorm(edges, f, sk), rel=1e-12)
+        for cells in (20, 300):
+            edges = np.cumsum(rng.uniform(0.01, 1.0, cells + 1)) - 40.0
+            f = rng.normal(size=cells)
+            skip = rng.uniform(size=cells) < 0.1
+            for sk in (None, skip):
+                assert ab._nonuniform_half_seminorm(edges, f, sk) == pytest.approx(
+                    dense_half_seminorm(edges, f, sk), rel=1e-12)
 
     def test_psibar_unbounded_near_origin_zero_outside(self):
         # the doubly-logarithmic growth is slow but unbounded
@@ -152,3 +156,26 @@ class TestTraceFamily:
         assert tex.psibar(1e-300) > tex.psibar(1e-30) > tex.psibar(1e-3) > 1.0
         assert tex.psibar(1.5) == 0.0
         assert tex.psibar(-0.5) == tex.psibar(0.5)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_bump_member_at_resolution_32001(self, monkeypatch):
+        # workspace build and whole-line seminorm of one member, nothing
+        # cached: measured 3.43 MB (5.49 MB with a complex spectrum and the
+        # seminorm from a convolution)
+        monkeypatch.setattr(discretize, "_WS_CACHE", {})
+        fam = BumpFamily(s=0.3, resolution=32001)
+        assert _traced_peak(bump_norms, fam, 3) < 4.0e6
+
+    def test_default_trace_member(self):
+        # measured 1.01 MB (4.71 MB with 128-row blocks of fresh temporaries)
+        assert _traced_peak(trace_norms, TraceExample(), 0) < 1.5e6

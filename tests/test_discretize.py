@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlhet import discretize
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
                               apply_full_operator, apply_nonlocal,
                               bilinear_form, reference_profile, seminorm_K,
@@ -12,7 +13,8 @@ from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
-from oracles import (dense_nonlocal, dense_row_sums, dense_seminorm_sq,
+from oracles import (dense_nonlocal, dense_pair_sum, dense_row_sums,
+                     dense_seminorm_sq, dense_toeplitz_quad,
                      two_power_cell_masses)
 
 TWO_PI = 2 * math.pi
@@ -59,10 +61,11 @@ class TestGridProfile:
 
 
 class TestWorkspaceConv:
-    @pytest.mark.parametrize("n", [3, 5, 101])
+    @pytest.mark.parametrize("n", [3, 5, 15, 17, 101])
     def test_conv_matches_direct_sum(self, n):
-        # the FFT length only reaches 2n - 1: any circular wrap-around into
-        # the kept output slice would show up against the O(n^2) sum
+        # the FFT length only reaches 2n - 1 (n = 15: 32 against 29, the
+        # tightest fit; n = 17: 64): any circular wrap-around into the kept
+        # output slice would show up against the O(n^2) sum
         ws = workspace_for(KER, Grid(R=10.0, n=n))
         f = np.random.default_rng(n).normal(size=n)
         direct = np.zeros(n)
@@ -72,6 +75,35 @@ class TestWorkspaceConv:
                     direct[i] += ws.w[abs(i - j) - 1] * f[j]
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(ws.conv(f) - direct)) <= 1e-13 * scale
+
+
+class TestWorkspaceQuad:
+    @pytest.mark.parametrize("n", [3, 5, 15, 101, 401])
+    def test_quad_matches_exact_sum_and_conv(self, n):
+        # Parseval over the circulant spectrum; round-off measured <= 5e-17
+        # of the scale sum |f_i f_j| w_|i-j|
+        ws = workspace_for(KER, Grid(R=10.0, n=n))
+        f = np.random.default_rng(n).normal(size=n)
+        exact, scale = dense_toeplitz_quad(ws.w, f)
+        assert abs(ws.quad(f) - exact) <= 1e-15 * scale
+        assert abs(ws.quad(f) - float(np.sum(f * ws.conv(f)))) <= 1e-15 * scale
+
+    def test_spectrum_is_real_and_half_length(self):
+        ws = workspace_for(KER, Grid(R=10.0, n=101))
+        assert ws.lam.dtype == np.float64
+        assert ws.lam.shape == (ws._L // 2 + 1,)
+
+
+class TestWorkspaceCache:
+    def test_holds_the_latest_grid_only(self, monkeypatch):
+        monkeypatch.setattr(discretize, "_WS_CACHE", {})
+        g1, g2 = Grid(R=10.0, n=101), Grid(R=10.0, n=201)
+        ws1 = workspace_for(KER, g1)
+        ws2 = workspace_for(KER, g2)
+        assert list(discretize._WS_CACHE.values()) == [ws2]
+        assert workspace_for(KER, g2) is ws2
+        assert workspace_for(KER, g1) is not ws1
+        assert len(discretize._WS_CACHE) == 1
 
 
 class TestStrangSymbol:
@@ -383,7 +415,8 @@ def _four_conv_pair_sum(ws, f, g, mx, my):
 
 class TestSharedConvolutions:
     """bilinear_form shares convolutions between coinciding terms of the
-    masked pair sum; the value stays the four-convolution sum, bit for bit."""
+    masked pair sum; the value stays the four-convolution sum, bit for bit,
+    except for a whole-line seminorm, which runs no convolution at all."""
 
     G = Grid(R=10.0, n=401)
 
@@ -393,16 +426,22 @@ class TestSharedConvolutions:
         vals = np.exp(-(x - rng.uniform(-3, 3)) ** 2) * rng.uniform(0.5, 2)
         return Profile(self.G, vals, 0.0, 0.0)
 
+    def _add_tails(self, total, ws, f, g, mI):
+        # window x tail blocks of a whole-line form, far fields 0
+        h = self.G.h
+        for _ in range(2):
+            total += h * float(np.sum((f.values * g.values * ws.Wl)[mI]))
+            total += h * float(np.sum((f.values * g.values * ws.Wr)[mI]))
+        return total
+
     def _expected(self, f, g, I, J):
         ws = workspace_for(KER, self.G)
         x, h = self.G.x, self.G.h
         mI = (x >= I[0] - 1e-9 * h) & (x <= I[1] + 1e-9 * h)
         mJ = (x >= J[0] - 1e-9 * h) & (x <= J[1] + 1e-9 * h)
         total = h * _four_conv_pair_sum(ws, f.values, g.values, mI, mJ)
-        if I == J == WHOLE_LINE:   # window x tail blocks, far fields 0
-            for _ in range(2):
-                total += h * float(np.sum((f.values * g.values * ws.Wl)[mI]))
-                total += h * float(np.sum((f.values * g.values * ws.Wr)[mI]))
+        if I == J == WHOLE_LINE:
+            total = self._add_tails(total, ws, f, g, mI)
         return total
 
     def _count(self, monkeypatch, f, g, I, J):
@@ -415,8 +454,15 @@ class TestSharedConvolutions:
         monkeypatch.undo()
         return value, len(calls)
 
+    def _exact_seminorm(self, f):
+        ws = workspace_for(KER, self.G)
+        fc = f.values - f.values.mean()
+        every = np.ones(self.G.n, bool)
+        return self._add_tails(
+            self.G.h * dense_pair_sum(ws.w, fc, fc, every, every), ws, f, f, every)
+
     @pytest.mark.parametrize("I, J, same_f, convs", [
-        (WHOLE_LINE, WHOLE_LINE, True, 1),
+        (WHOLE_LINE, WHOLE_LINE, True, 0),
         ((-4.0, 6.0), (-4.0, 6.0), True, 2),
         ((-4.0, 6.0), (-8.0, 2.0), True, 4),
         ((-4.0, 6.0), (-8.0, 2.0), False, 4),
@@ -427,12 +473,17 @@ class TestSharedConvolutions:
         f = self._bump(1)
         g = f if same_f else self._bump(2)
         value, count = self._count(monkeypatch, f, g, I, J)
-        assert value == self._expected(f, g, I, J)
+        if convs == 0:
+            # a whole-line seminorm, 2 (sum f^2 rho - quad(f)) by Parseval:
+            # measured 2.2e-15 relative to the exactly summed pair sum
+            assert value == pytest.approx(self._exact_seminorm(f), rel=1e-14)
+        else:
+            assert value == self._expected(f, g, I, J)
         assert count == convs
 
-    def test_equal_values_in_distinct_profiles_share_t3(self, monkeypatch):
+    def test_equal_values_in_distinct_profiles_run_no_convolution(self, monkeypatch):
         f = self._bump(1)
         g = Profile(self.G, f.values.copy(), 0.0, 0.0)
         value, count = self._count(monkeypatch, f, g, WHOLE_LINE, WHOLE_LINE)
-        assert value == self._expected(f, f, WHOLE_LINE, WHOLE_LINE)
-        assert count == 1
+        assert value == pytest.approx(self._exact_seminorm(f), rel=1e-14)
+        assert count == 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile, apply_full_operator
+from nlhet.discretize import Grid, Profile, Workspace, apply_full_operator
 from nlhet.energy import total_energy
 from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
 from nlhet import obstacles, solver
@@ -231,7 +231,7 @@ class TestFusedEvaluation:
         q = np.clip(ref.values + bump, 0.0, TWO_PI)
         stage = _Stage(_Core(spec, grid, ref), 1e-2, 0.05, None, None)
         pieces, g = stage.evaluate(q)
-        assert pieces == stage.energy_pieces(q)
+        assert pieces == stage.trial(q)[0]
         g_ref = stage.gradient(q)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
         assert g[0] == g[-1] == 0.0
@@ -434,6 +434,36 @@ class TestResume:
             assert res.contact == fresh.contact
             assert res.residual_max == fresh.residual_max
         assert np.array_equal(snaps[-1][2], fresh.profile.values)
+
+
+class TestFinalEvaluation:
+    def test_resume_past_all_stages_convolves_twice(self, monkeypatch):
+        # after the last stage, conv(ref) of the core and one (0, 0)
+        # evaluation give the energy breakdown and the residual together
+        spec = homogeneous_spec()
+        grid = Grid(R=40.0, n=401)
+        cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+        sched = ContinuationSchedule(eta_seq=(1e-1, 0.0), mu_seq=(1e-1, 0.0))
+        fresh = continuation_run(spec, grid, cfg, sched, SolverConfig())
+        pair = barrier_pair(spec, cfg, grid, 0.0)
+        monkeypatch.setattr(solver, "barrier_pair", lambda *args: pair)
+        calls = []
+        conv = Workspace.conv
+        monkeypatch.setattr(Workspace, "conv",
+                            lambda ws, v: calls.append(1) or conv(ws, v))
+        res = continuation_run(spec, grid, cfg, sched, SolverConfig(),
+                               resume=(fresh.stages, fresh.trace,
+                                       fresh.profile.values))
+        assert len(calls) == 2
+        assert res.residual_max == fresh.residual_max
+        assert res.breakdown == fresh.breakdown
+
+    def test_residual_matches_independent_check(self, small_run):
+        # the stage gradient over h against residual_EL's operator field:
+        # measured 7e-15 apart
+        spec, grid, cfg, sched, res = small_run
+        rmax, _ = residual_EL(res.profile, spec)
+        assert res.residual_max == pytest.approx(rmax, rel=0, abs=1e-12)
 
 
 class TestContinuation:

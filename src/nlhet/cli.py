@@ -5,7 +5,9 @@ error (config parse error, a checkpoint of another config), 3 environment
 error (I/O, a lock held by a live or foreign run).  Outputs are deterministic
 for identical configs; the manifest is written last via atomic rename, and
 ``solve --resume`` continues from checkpoint.json to the same bytes as an
-uninterrupted run.  NLHET_THREADS caps internal parallelism (scaling bench).
+uninterrupted run.  NLHET_THREADS sets the bench-appendix worker count
+(default: the CPUs the process may run on, at most 4).  Config digests and
+model hashes are SHA-256, computed without loading OpenSSL.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import base64
 import gc
-import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import appendix_bench as ab
 from . import diagnostics as dg
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, sha256_hex
 from .discretize import Grid, Profile, reference_profile
 from .model import verify_model
 from .obstacles import (BarrierSolveError, EnvelopeClauseError, ObstaclePair,
@@ -42,10 +43,14 @@ _FMT = "%.17g"
 
 
 def _thread_cap() -> int:
+    """NLHET_THREADS; unset or invalid, the CPUs this process may run on,
+    at most 4 (more workers than CPUs add memory and no speed)."""
     try:
-        return max(1, int(os.environ.get("NLHET_THREADS", "4")))
-    except ValueError:
-        return 4
+        return max(1, int(os.environ["NLHET_THREADS"]))
+    except (KeyError, ValueError):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        return min(4, cpus)
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +370,7 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
             outputs.append(ck_path)
             model_raw = {k: v for k, v in cfg.raw.items()
                          if k in ("kernel", "potential", "modulation")}
-            model_hash = hashlib.sha256(
-                json.dumps(model_raw, sort_keys=True).encode()).hexdigest()
+            model_hash = sha256_hex(json.dumps(model_raw, sort_keys=True))
             extra = {
                 "model_hash": model_hash,
                 "stage_energies": [{"mu": s.mu, "eta": s.eta,
@@ -468,8 +472,9 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
     path = os.path.join(outdir, "diagnose.json")
     _atomic_write(path, json.dumps(out, indent=2, sort_keys=True, default=float) + "\n")
     outputs.append(path)
-    verdicts = {k: ("pass" if v.get("passed", True) else "fail")
-                if isinstance(v, dict) else "measured"
+    # only the gated checks carry ``passed``; the others measure
+    verdicts = {k: ("pass" if v["passed"] else "fail") if "passed" in v
+                else "measured"
                 for k, v in out.items()}
     _write_manifest(outdir, cfg.digest, "diagnose", outputs, verdicts)
     return EXIT_OK if ok else EXIT_CHECK

@@ -8,7 +8,6 @@ endpoints default to the modulation's window centers m1/m2 when omitted.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -18,6 +17,17 @@ from .discretize import Grid
 from .model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from .obstacles import ObstacleConfig
 from .solver import ContinuationSchedule, SolverConfig
+
+# CPython's built-in SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): the
+# same digests as hashlib's, without loading OpenSSL's libcrypto (3.4 MB of
+# RSS in every process)
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # a build without the built-in modules
+        from hashlib import sha256 as _sha256
 
 
 class ConfigError(ValueError):
@@ -171,4 +181,9 @@ def config_digest(raw: dict) -> str:
         buf.write(f"[{sec}]\n")
         for k in sorted(raw[sec]):
             buf.write(f"{k}={raw[sec][k]}\n")
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return sha256_hex(buf.getvalue())
+
+
+def sha256_hex(text: str) -> str:
+    """Hex SHA-256 of the UTF-8 bytes of ``text``: every digest nlhet writes."""
+    return _sha256(text.encode()).hexdigest()

@@ -388,8 +388,10 @@ def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
     make t4 = t3.  Two all-true masks with equal centered f and g give
     t1 = t2 = sum f^2 rho and t3 = t4 = ``ws.quad(f)``, so a whole-line
     seminorm costs one forward transform and no convolution.  Every other
-    case is the four-convolution sum, bit for bit; a seminorm over one
-    finite interval costs two convolutions.
+    case is the four-convolution sum with ``rho`` in place of the
+    convolution of an all-true mask, bit for bit (``conv(ones)`` itself
+    would change the last bits); a seminorm over one finite interval costs
+    two convolutions.
     """
     f = f - f.mean()
     g = g - g.mean()

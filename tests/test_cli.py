@@ -1,4 +1,6 @@
 import base64
+import glob
+import hashlib
 import json
 import logging
 import math
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from nlhet import solver
-from nlhet.cli import (_layer_match, _Lock, main, read_profile_csv,
+from nlhet.cli import (_layer_match, _Lock, _thread_cap, main, read_profile_csv,
                        write_obstacles_csv, write_profile_csv,
                        write_tail_csv, write_trace_csv)
 from nlhet.discretize import Grid, Profile
@@ -141,9 +143,9 @@ class TestVerifyModel:
 
 def test_import_is_light_and_complete():
     # importing the CLI loads every module of the package (traced benchmark
-    # runs wrap them right after this import) but neither the socket stack
-    # nor the thread pool, and freezes the import-time objects out of the
-    # garbage collector
+    # runs wrap them right after this import) but neither the socket stack,
+    # nor OpenSSL (3.4 MB of RSS), nor the thread pool, and freezes the
+    # import-time objects out of the garbage collector
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     code = ("import gc, json, sys, nlhet.cli; print(json.dumps("
             "[sorted(sys.modules), gc.get_freeze_count()]))")
@@ -152,11 +154,75 @@ def test_import_is_light_and_complete():
     assert run.returncode == 0, run.stderr
     loaded, frozen = json.loads(run.stdout)
     assert "socket" not in loaded
+    assert "_hashlib" not in loaded and "ssl" not in loaded
     assert "concurrent.futures" not in loaded
     package = {f"nlhet.{name[:-3]}" for name in os.listdir(os.path.join(src, "nlhet"))
                if name.endswith(".py") and name not in ("__init__.py", "__main__.py")}
     assert package <= set(loaded)
     assert frozen > 0
+
+
+def test_commands_never_load_openssl(tmp_path):
+    # nor does running them: a later runtime import (numpy.random ->
+    # secrets -> hmac, say) would load _hashlib after the import check
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    cfg = _write(tmp_path, "run.ini", CONFIG_SMALL)
+    out = tmp_path / "out"
+    code = (
+        "import json, sys\n"
+        "from nlhet.cli import main\n"
+        f"codes = [main(['solve', {cfg!r}, '--out', {str(out / 's')!r}]),\n"
+        f"         main(['diagnose', {str(out / 's' / 'profile.csv')!r}, {cfg!r},\n"
+        "               '--checks', 'clean,tail,holder,lewy-stampacchia',\n"
+        f"               '--out', {str(out / 'd')!r}]),\n"
+        f"         main(['bench-appendix', {os.path.join(root, 'configs', 'bench.ini')!r},\n"
+        f"               '--out', {str(out / 'b')!r}])]\n"
+        "print(json.dumps([codes, '_hashlib' in sys.modules, 'ssl' in sys.modules]))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert run.returncode == 0, run.stderr
+    codes, hashlib_loaded, ssl_loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert not hashlib_loaded and not ssl_loaded
+
+
+def _canonical_config_text(path):
+    """The config digest's input, written out: sorted sections and keys."""
+    import configparser
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read(path)
+    return "".join(f"[{sec}]\n" + "".join(f"{k}={v}\n" for k, v in sorted(cp.items(sec)))
+                   for sec in sorted(cp.sections()))
+
+
+class TestDigests:
+    """The built-in SHA-256 gives hashlib's digests, so checkpoints and
+    manifests written with hashlib still match."""
+
+    ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+    def test_homogeneous_digest_pinned(self):
+        from nlhet.config import parse_config
+        cfg = parse_config(os.path.join(self.ROOT, "configs", "homogeneous.ini"))
+        assert cfg.digest == ("a78cc851a477548ee53bc50c0ea7f483240b2977"
+                              "e0f76a92cd526e5221d66fe8")
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(ROOT, "configs", "*.ini"))
+        + glob.glob(os.path.join(ROOT, "bench", "*.ini"))), ids=os.path.basename)
+    def test_config_digest_is_hashlib_sha256(self, path):
+        from nlhet.config import parse_config
+        text = _canonical_config_text(path)
+        assert parse_config(path).digest == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_model_hash_is_hashlib_sha256(self, solved):
+        from nlhet.config import parse_config
+        code, tmp, cfg, out = solved
+        raw = parse_config(cfg).raw
+        model = {k: raw[k] for k in ("kernel", "potential", "modulation")}
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["model_hash"] == hashlib.sha256(
+            json.dumps(model, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -556,12 +622,18 @@ class TestDiagnose:
         rep = json.loads((dout / "diagnose.json").read_text())
         assert rep["clean"]["intervals"]
         assert (dout / "tail_right.csv").exists()
+        # none of these checks has a gate: the manifest reports a measurement
+        man = json.loads((dout / "manifest.json").read_text())
+        assert man["verdicts"] == {k: "measured" for k in
+                                   ("clean", "tail_left", "tail_right", "holder")}
 
     def test_lewy_stampacchia_check(self, solved, tmp_path):
         code, tmp, cfg, out = solved
         dout = tmp_path / "diag_ls"
         assert main(["diagnose", str(out / "profile.csv"), cfg,
                      "--checks", "lewy-stampacchia", "--out", str(dout)]) == 0
+        man = json.loads((dout / "manifest.json").read_text())
+        assert man["verdicts"] == {"lewy_stampacchia": "pass"}
 
     def test_stickiness_precondition_exit2(self, solved, tmp_path):
         code, tmp, cfg, out = solved
@@ -633,5 +705,15 @@ class TestBench:
                      "trace_kmax = 2\n")
         assert main(["bench-appendix", cfg, "--out", str(tmp_path / "t")]) == 0
         monkeypatch.setenv("NLHET_THREADS", "not-a-number")
-        from nlhet.cli import _thread_cap
-        assert _thread_cap() == 4
+        assert _thread_cap() == min(4, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (8, 4)])
+    def test_default_thread_cap_is_affinity_capped_at_4(self, monkeypatch,
+                                                        cpus, workers):
+        # more workers than CPUs cost memory (bench/appendix.ini on 2 CPUs:
+        # measured 48.0-49.1 MB peak for 4 workers, 40.4-40.7 MB for 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.delenv("NLHET_THREADS", raising=False)
+        assert _thread_cap() == workers
+        monkeypatch.setenv("NLHET_THREADS", "")
+        assert _thread_cap() == workers

@@ -11,14 +11,11 @@ norm-scaling benchmark families.
 from .model import (KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec,
                     ReferenceProfile, kernel_eval, potential_eval_grad,
                     reference_profile_eval, verify_model)
-from .discretize import (Grid, Profile, apply_full_operator, apply_nonlocal,
-                         bilinear_form, seminorm_K)
-from .energy import EnergyBreakdown, renormalized_interaction, total_energy
+from .discretize import Grid, Profile, bilinear_form, seminorm_K
 from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
                         build_envelopes, solve_barrier)
-from .solver import (ContinuationSchedule, SolveResult, SolverConfig,
-                     continuation_run, minimize_constrained, residual_EL,
-                     truncate_to_wells, verify_apriori_bounds)
+from .solver import (ContinuationSchedule, EnergyBreakdown, SolveResult,
+                     SolverConfig, continuation_run, minimize_constrained)
 
 __version__ = "0.1.0"
 
@@ -26,13 +23,10 @@ __all__ = [
     "KernelSpec", "ModulationSpec", "PotentialSpec", "ProblemSpec",
     "ReferenceProfile", "kernel_eval", "potential_eval_grad",
     "reference_profile_eval", "verify_model",
-    "Grid", "Profile", "apply_full_operator", "apply_nonlocal",
-    "bilinear_form", "seminorm_K",
-    "EnergyBreakdown", "renormalized_interaction", "total_energy",
+    "Grid", "Profile", "bilinear_form", "seminorm_K",
     "ObstacleConfig", "ObstaclePair", "barrier_pair", "build_envelopes",
     "solve_barrier",
-    "ContinuationSchedule", "SolveResult", "SolverConfig", "continuation_run",
-    "minimize_constrained", "residual_EL", "truncate_to_wells",
-    "verify_apriori_bounds",
+    "ContinuationSchedule", "EnergyBreakdown", "SolveResult", "SolverConfig",
+    "continuation_run", "minimize_constrained",
     "__version__",
 ]

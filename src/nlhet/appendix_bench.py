@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +34,7 @@ __all__ = [
     "BumpFamily",
     "TraceExample",
     "bump_norms",
-    "superposition_eval",
-    "superposition_tail_witness",
     "trace_norms",
-    "psibar_seminorm",
     "BUMP_L2_RATIO",
     "bump_hs_ratio",
     "TRACE_L2_RATIO",
@@ -122,33 +119,6 @@ def bump_norms(family: BumpFamily, k: int) -> Tuple[float, float]:
     ker = _GagliardoKernel(family.s)
     hs2 = bilinear_form(prof, prof, WHOLE_LINE, WHOLE_LINE, ker)
     return l2, math.sqrt(max(hs2, 0.0))
-
-
-def superposition_eval(family: BumpFamily, x, kmax: int = 60) -> np.ndarray:
-    """Sum of both center families, k = 1..kmax, evaluated pointwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k in range(1, kmax + 1):
-        ek = math.exp(k)
-        out += family.base(ek * (x - k))
-        out += family.base(ek * (x - 1.0 / k))
-    return out
-
-
-def superposition_tail_witness(family: BumpFamily,
-                               x_samples: Sequence[float]) -> Tuple[float, float]:
-    """(max over sampled bump centers, max over sampled midpoints).
-
-    Centers x = k carry value exactly 1 (template peak), midpoints
-    x = k + 1/2 exactly 0 (supports of width e^-k never reach them), so the
-    pair witnesses limsup > liminf at infinity.
-    """
-    xs = np.asarray(list(x_samples), dtype=float)
-    vals = superposition_eval(family, xs)
-    centers = np.abs(xs - np.round(xs)) < 1e-12
-    if not centers.any() or not (~centers).any():
-        raise ValueError("samples must include bump centers and midpoints")
-    return float(vals[centers].max()), float(vals[~centers].max())
 
 
 # --------------------------------------------------------------------------
@@ -258,16 +228,6 @@ def _core_skip(edges: np.ndarray, center: float) -> np.ndarray:
     skip = np.zeros(mids.size, bool)
     skip[int(np.argmin(np.abs(mids - center)))] = True
     return skip
-
-
-def psibar_seminorm(example: TraceExample,
-                    points_per_decade: int = 0) -> float:
-    """Numerical H^(1/2) seminorm of psibar itself (refinement-study hook)."""
-    ppd = points_per_decade or example.points_per_decade
-    edges = _log_cells(example.inner_cutoff, 1.0, ppd)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    return _nonuniform_half_seminorm(edges, example.psibar(mids),
-                                     _core_skip(edges, 0.0))
 
 
 def trace_norms(example: TraceExample, k: int) -> Tuple[float, float]:

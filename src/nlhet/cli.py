@@ -1,7 +1,8 @@
 """Command-line entry point: verify-model, solve, diagnose, bench-appendix.
 
 Exit codes: 0 pass, 1 check or convergence failure, 2 usage or precondition
-error (config parse error, a checkpoint of another config), 3 environment
+error (config parse error, a checkpoint of another config, a diagnostics
+value out of range, a non-finite profile value), 3 environment
 error (I/O, a lock held by a live or foreign run).  Outputs are deterministic
 for identical configs; the manifest is written last via atomic rename, and
 ``solve --resume`` continues from checkpoint.json to the same bytes as an
@@ -99,6 +100,9 @@ def read_profile_csv(path: str):
         raise ValueError(f"profile CSV schema mismatch: {e}") from e
     if x.ndim != 1 or x.size < 3 or x.size % 2 == 0:
         raise ValueError("profile CSV must hold an odd number >= 3 of rows")
+    if not (np.isfinite(x).all() and np.isfinite(q).all()
+            and np.isfinite(ref).all()):
+        raise ValueError("profile CSV holds a non-finite x, Q or Qsharp value")
     grid = Grid(R=float(abs(x[0])), n=x.size)
     if not np.allclose(grid.x, x, atol=1e-9):
         raise ValueError("profile CSV nodes are not a symmetric uniform grid")
@@ -469,6 +473,12 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
     except dg.DegenerateFitError as e:
         print(f"degenerate fit: {e}", file=sys.stderr)
         return EXIT_CHECK
+    except (BarrierSolveError, EnvelopeClauseError) as e:
+        print(f"obstacle construction failed: {e}", file=sys.stderr)
+        return EXIT_CHECK
+    except ValueError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     path = os.path.join(outdir, "diagnose.json")
     _atomic_write(path, json.dumps(out, indent=2, sort_keys=True, default=float) + "\n")
     outputs.append(path)

@@ -3,8 +3,7 @@
 Clean intervals (stretches of prescribed length on which the profile hugs a
 single well within rho), stickiness of the minimizer between clean points,
 two-sided operator bounds of Lewy-Stampacchia type for the obstacle-
-constrained minimizer, Hoelder quotients, splice-and-glue constructions with
-their interaction-energy defect, and far-field decay fits.
+constrained minimizer, Hoelder quotients, and far-field decay fits.
 
 All diagnostics are pure read-only passes over immutable profiles.
 """
@@ -17,10 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import (Interval, Profile, bilinear_form, operator_field,
-                         reference_profile, second_difference, seminorm_K,
-                         workspace_for)
-from .energy import renormalized_interaction
+from .discretize import (Interval, Profile, operator_field, reference_profile,
+                         second_difference, seminorm_K, workspace_for)
 from .model import ProblemSpec, potential_eval_grad
 from .obstacles import ObstaclePair
 
@@ -37,12 +34,7 @@ __all__ = [
     "stickiness_check",
     "lewy_stampacchia_check",
     "holder_estimate",
-    "glue_profile",
-    "gluing_energy_defect",
     "fit_tail_decay",
-    "raw_seminorm_window_growth",
-    "log_growth_slope",
-    "increment_growth_exponent",
 ]
 
 
@@ -69,10 +61,6 @@ class CleanInterval:
     @property
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass
@@ -294,49 +282,6 @@ def holder_estimate(Q: Profile, interval: Interval, alpha: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# gluing
-# --------------------------------------------------------------------------
-
-
-def glue_profile(Q: Profile, x0: float, zeta: float, beta: float) -> Profile:
-    """Splice the profile onto the equilibrium right of a clean point.
-
-    P equals Q left of x0, interpolates linearly from Q(x0) down to the well
-    over [x0, x0+1], and is constant zeta afterwards; the right far-field
-    constant is updated.  x0 is rounded to the nearest node.
-    """
-    if beta < 1.0:
-        raise ValueError("beta must be >= 1")
-    grid = Q.grid
-    if x0 + beta > grid.R - grid.h:
-        raise ValueError("splice extends past the window edge")
-    x = grid.x
-    i0 = int(round((x0 + grid.R) / grid.h))
-    x0g = x[i0]
-    vals = Q.values.copy()
-    q0 = vals[i0]
-    ramp = (x > x0g) & (x < x0g + 1.0)
-    vals[ramp] = q0 * (x0g + 1.0 - x[ramp]) + zeta * (x[ramp] - x0g)
-    vals[x >= x0g + 1.0] = zeta
-    return Profile(grid, vals, Q.left_const, float(zeta))
-
-
-def gluing_energy_defect(Q: Profile, P: Profile, x0: float, beta: float,
-                         T1: float, T2: float, spec: ProblemSpec,
-                         ref: Optional[Profile] = None) -> float:
-    """| E_{(T1,T2)^2}(P) - E_{(T1,x0)^2}(Q) - E_{(x0,T2)^2}(P)
-         + 2 [ref]^2_{K, (x0-beta,x0) x (x0,x0+beta)} |."""
-    if ref is None:
-        ref = reference_profile(spec, Q.grid)
-    k = spec.kernel
-    e_full = renormalized_interaction(P, ref, spec, (T1, T2), (T1, T2))
-    e_left = renormalized_interaction(Q, ref, spec, (T1, x0), (T1, x0))
-    e_right = renormalized_interaction(P, ref, spec, (x0, T2), (x0, T2))
-    cross = seminorm_K(ref, (x0 - beta, x0), (x0, x0 + beta), k) ** 2
-    return abs(e_full - e_left - e_right + 2.0 * cross)
-
-
-# --------------------------------------------------------------------------
 # tail decay
 # --------------------------------------------------------------------------
 
@@ -375,39 +320,3 @@ def fit_tail_decay(Q: Profile, side: str) -> TailFit:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - (float(res[0]) / ss_tot if res.size and ss_tot > 0 else 0.0)
     return TailFit(side, float(slope), float(math.exp(icpt)), float(r2))
-
-
-# --------------------------------------------------------------------------
-# window growth of the raw seminorm
-# --------------------------------------------------------------------------
-
-
-def raw_seminorm_window_growth(Q: Profile, spec: ProblemSpec,
-                               radii: Sequence[float]) -> List[float]:
-    """[Q]^2_{K, [-Rk, Rk]^2} for a growing family of sub-windows."""
-    return [bilinear_form(Q, Q, (-rk, rk), (-rk, rk), spec.kernel)
-            for rk in radii]
-
-
-def log_growth_slope(radii: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of values against log(radii)."""
-    lx = np.log(np.asarray(radii, float))
-    y = np.asarray(values, float)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, _), *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(slope)
-
-
-def increment_growth_exponent(radii: Sequence[float],
-                              values: Sequence[float]) -> float:
-    """Exponent p with value increments ~ R^p across doublings (p ~ 0 for
-    logarithmic growth, p ~ 1 - 2s for power growth)."""
-    r = np.asarray(radii, float)
-    v = np.asarray(values, float)
-    d = np.diff(v)
-    if np.any(d <= 0):
-        raise ValueError("growth increments must be positive for the fit")
-    lx, ly = np.log(r[:-1]), np.log(d)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, _), *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(slope)

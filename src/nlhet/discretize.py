@@ -54,8 +54,6 @@ __all__ = [
     "WHOLE_LINE",
     "operator_field",
     "operator_linear",
-    "apply_nonlocal",
-    "apply_full_operator",
     "seminorm_K",
     "bilinear_form",
     "second_difference",
@@ -115,10 +113,6 @@ class Profile:
 
     def copy(self) -> "Profile":
         return Profile(self.grid, self.values.copy(), self.left_const, self.right_const)
-
-    def is_admissible(self, tol: float = 1e-9) -> bool:
-        return (abs(self.values[0] - self.left_const) <= tol
-                and abs(self.values[-1] - self.right_const) <= tol)
 
     @staticmethod
     def from_function(grid: Grid, f, left_const: Optional[float] = None,
@@ -315,38 +309,11 @@ def operator_linear(ws: Workspace, v: np.ndarray, c: np.ndarray,
     return out
 
 
-def apply_nonlocal(Q: Profile, spec: KernelSpec, i: Optional[int] = None):
-    """L Q at node i (or the whole interior field when i is None).
-
-    The index must be strictly interior: the two window-edge nodes see a
-    lopsided quadrature and are rejected.
-    """
-    ws = workspace_for(spec, Q.grid)
-    field_vals = operator_field(ws, Q.values, Q.left_const, Q.right_const)
-    if i is None:
-        return field_vals[1:-1]
-    if not (1 <= i <= Q.grid.n - 2):
-        raise ValueError(f"node {i} is not strictly interior")
-    return float(field_vals[i])
-
-
 def second_difference(values: np.ndarray, h: float) -> np.ndarray:
     """3-point central second difference on interior nodes, zero at the edges."""
     d2 = np.zeros_like(values)
     d2[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
     return d2
-
-
-def apply_full_operator(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
-                        ref: Profile) -> np.ndarray:
-    """Field of -eta*d2 Q + mu (Q - ref) + L Q + a W'(Q) on interior nodes."""
-    if Q.grid != ref.grid:
-        raise ValueError("profile and reference must share a grid")
-    if eta < 0 or mu < 0:
-        raise ValueError("eta and mu must be >= 0")
-    ws = workspace_for(spec.kernel, Q.grid)
-    return operator_field(ws, Q.values, Q.left_const, Q.right_const, spec,
-                          eta=eta, mu=mu, ref=ref.values)[1:-1]
 
 
 # --------------------------------------------------------------------------

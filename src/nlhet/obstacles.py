@@ -20,16 +20,15 @@ as posed.  Since the problem is linear, the envelope construction therefore
 calibrates the barrier by scaling its deviation from the boundary datum by
 the largest factor ``rhs_scale`` <= 1 that brings the collar deviation under
 r/8 (equivalent to solving with the scaled right-hand side).  The pair
-records the scale so the unscaled solution is recoverable exactly; the
+records the scale and keeps the unscaled solutions between b1 and b2: the
 comparison test run after each solve (minimizer below the upper barrier
-between b1 and b2) uses that faithful reconstruction.
+between b1 and b2) uses those faithful barriers.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,12 +41,9 @@ __all__ = [
     "ObstaclePair",
     "BarrierSolveError",
     "EnvelopeClauseError",
-    "compute_rhs_constant",
     "solve_barrier",
     "build_envelopes",
     "barrier_pair",
-    "band_check",
-    "faithful_barriers",
 ]
 
 
@@ -62,12 +58,6 @@ class BarrierSolveError(RuntimeError):
 
 class EnvelopeClauseError(RuntimeError):
     pass
-
-
-def compute_rhs_constant(spec: ProblemSpec) -> float:
-    """C0 = sup |a W'| + 2|zeta1| + 2|zeta2| + 1, the sup over the well
-    sandwich (``ProblemSpec.rhs_constant``, computed once per spec)."""
-    return spec.rhs_constant
 
 
 @dataclass(frozen=True)
@@ -99,6 +89,8 @@ class ObstaclePair:
 
     ``rhs_scale`` is the deviation scaling applied to the raw barrier
     solutions; 1.0 means the collar bands held without calibration.
+    ``corridor`` holds the raw, unscaled barriers between b1 and b2: (slice
+    of the nodes strictly inside, upper values there, lower values there).
     """
 
     phi: Profile
@@ -111,17 +103,7 @@ class ObstaclePair:
     zeta2: float
     rhs_scale: float
     eta: float
-
-    @cached_property
-    def corridor(self) -> Tuple[slice, np.ndarray, np.ndarray]:
-        """The faithful barriers between b1 and b2: (slice of the nodes
-        strictly inside, upper values there, lower values there), from one
-        ``faithful_barriers`` call on first use."""
-        phi, psi = faithful_barriers(self)
-        x = phi.x
-        mid = slice(np.searchsorted(x, self.cfg.b1, "right"),
-                    np.searchsorted(x, self.cfg.b2, "left"))
-        return mid, phi.values[mid].copy(), psi.values[mid].copy()
+    corridor: Tuple[slice, np.ndarray, np.ndarray]
 
 
 def _band_indices(grid: Grid, cfg: ObstacleConfig) -> np.ndarray:
@@ -184,7 +166,7 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     if grid.R < max(abs(cfg.b1), abs(cfg.b2)) + 2 * cfg.tau + 1:
         raise ValueError("grid window must contain [b1-2tau-1, b2+2tau+1]")
     r = cfg.resolve_r(spec)
-    C0 = compute_rhs_constant(spec)
+    C0 = spec.rhs_constant
     ws = workspace_for(spec.kernel, grid)
     band = _band_indices(grid, cfg)
     if band.size == 0:
@@ -283,21 +265,6 @@ def _mollify_near_kinks(x, f, cfg, h):
     return out, zones
 
 
-def band_check(barrier: Profile, cfg: ObstacleConfig, level_l: float,
-               level_r: float, r: float) -> Tuple[float, bool]:
-    """Collar-band deviation max |barrier - level| on [b1-tau, b1] u [b2, b2+tau].
-
-    Returns (deviation, deviation <= r/4).
-    """
-    x = barrier.x
-    selL = (x >= cfg.b1 - cfg.tau) & (x <= cfg.b1)
-    selR = (x >= cfg.b2) & (x <= cfg.b2 + cfg.tau)
-    devL = float(np.abs(barrier.values[selL] - level_l).max()) if selL.any() else 0.0
-    devR = float(np.abs(barrier.values[selR] - level_r).max()) if selR.any() else 0.0
-    dev = max(devL, devR)
-    return dev, dev <= r / 4.0
-
-
 def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
                     eta: float = 0.0) -> ObstaclePair:
     """Construct the smooth envelope pair and verify every clause on the grid.
@@ -356,7 +323,11 @@ def build_envelopes(phi: Profile, psi: Profile, cfg: ObstacleConfig,
 
     Phi = Profile(grid, Phi_v, phi.left_const, phi.right_const)
     Psi = Profile(grid, Psi_v, psi.left_const, psi.right_const)
-    pair = ObstaclePair(phic, psic, Phi, Psi, cfg, r, zeta1, zeta2, beta, eta)
+    inside = slice(np.searchsorted(x, cfg.b1, "right"),
+                   np.searchsorted(x, cfg.b2, "left"))
+    pair = ObstaclePair(phic, psic, Phi, Psi, cfg, r, zeta1, zeta2, beta, eta,
+                        (inside, phi.values[inside].copy(),
+                         psi.values[inside].copy()))
     _verify_clauses(pair)
     return pair
 
@@ -408,17 +379,3 @@ def _verify_clauses(pair: ObstaclePair, tol: float = 1e-9) -> None:
         worst(mid, sgn * (env - bar), f"{name} interior dominance")
     worst(np.ones_like(x, bool), pair.Phi.values - pair.Psi.values,
           "envelope ordering Psi <= Phi")
-
-
-def faithful_barriers(pair: ObstaclePair) -> Tuple[Profile, Profile]:
-    """Undo the calibration: the solutions of the unscaled barrier problems."""
-    cfg = pair.cfg
-    x = pair.phi.x
-    datum_p = _datum(x, cfg, pair.zeta1 + pair.r, pair.zeta2 + pair.r)
-    datum_m = _datum(x, cfg, pair.zeta1 - pair.r, pair.zeta2 - pair.r)
-    inv = 1.0 / pair.rhs_scale
-    phi = Profile(pair.phi.grid, datum_p + inv * (pair.phi.values - datum_p),
-                  pair.phi.left_const, pair.phi.right_const)
-    psi = Profile(pair.psi.grid, datum_m + inv * (pair.psi.values - datum_m),
-                  pair.psi.left_const, pair.psi.right_const)
-    return phi, psi

@@ -43,12 +43,12 @@ import numpy as np
 
 from .discretize import (Grid, Profile, operator_field, operator_linear,
                          reference_profile, strang_symbol, workspace_for)
-from .energy import EnergyBreakdown, _check_far_fields
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
                     verify_model)
 from .obstacles import ObstacleConfig, ObstaclePair, barrier_pair
 
 __all__ = [
+    "EnergyBreakdown",
     "SolverConfig",
     "ContinuationSchedule",
     "SolveResult",
@@ -57,11 +57,8 @@ __all__ = [
     "StagnationError",
     "NonFiniteEnergyError",
     "NonConvergenceError",
-    "truncate_to_wells",
     "minimize_constrained",
     "continuation_run",
-    "residual_EL",
-    "verify_apriori_bounds",
     "default_limit_tol",
 ]
 
@@ -145,6 +142,20 @@ class ContinuationSchedule:
         return tuple(v for v in self.mu_seq if v > 0.0)
 
 
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """The four pieces of the (eta, mu) functional (``_Stage.trial``)."""
+
+    viscous: float
+    penalty: float
+    potential: float
+    interaction: float
+
+    @property
+    def total(self) -> float:
+        return self.viscous + self.penalty + self.potential + self.interaction
+
+
 @dataclass
 class StageRecord:
     mu: float
@@ -170,18 +181,6 @@ class SolveResult:
     iterations: int = 0
     limit_check: Optional[dict] = None
     monotone: Optional[bool] = None
-
-
-def truncate_to_wells(Q: Profile, pot) -> Profile:
-    """Clamp node values (and far fields) into the well sandwich.
-
-    Clamping never increases any energy term: differences shrink, the
-    penalty shrinks (the reference stays strictly inside the sandwich), and
-    the potential drops to zero where the clamp is active.
-    """
-    lo, hi = pot.well_lo, pot.well_hi
-    return Profile(Q.grid, np.clip(Q.values, lo, hi),
-                   min(max(Q.left_const, lo), hi), min(max(Q.right_const, lo), hi))
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +250,19 @@ class _Stage:
     def trial(self, q: np.ndarray) -> Tuple[Tuple[float, float, float, float],
                                             Tuple[np.ndarray, np.ndarray]]:
         """Energy pieces at q from one convolution and one potential call.
+
+        The pieces are those of the perturbed functional
+
+            (eta/2) int |dQ|^2 + (mu/2) int |Q - ref|^2 + int a W(Q)
+                + (1/4) iint (|Q(x)-Q(y)|^2 - |ref(x)-ref(y)|^2) K(x-y) dx dy.
+
+        The double integral is the renormalized interaction: each seminorm
+        alone diverges with the window for s <= 1/2, but the difference is
+        finite and is evaluated as E = [v]^2 + 2 B(v, ref) with v = q - ref,
+        which kills the divergent tail-by-tail block exactly (v has zero far
+        fields).  Local integrals use the trapezoid rule; the viscous term
+        uses forward-difference cells, so that the discrete gradient is
+        exactly h times the operator field on interior nodes.
 
         Also returns (conv(q - ref), W'(q)), from which ``gradient``
         builds the gradient without another convolution or potential call.
@@ -594,61 +606,3 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                        stationarity=stages[-1].stationarity,
                        iterations=sum(s.iterations for s in stages),
                        limit_check=lim, monotone=mono)
-
-
-def residual_EL(Q: Profile, spec: ProblemSpec) -> Tuple[float, np.ndarray]:
-    """Residual of  L Q + a W'(Q)  on interior nodes, excluding the two
-    outermost interior nodes per side (lopsided quadrature there)."""
-    ws = workspace_for(spec.kernel, Q.grid)
-    inner = operator_field(ws, Q.values, Q.left_const, Q.right_const, spec)[2:-2]
-    return float(np.abs(inner).max()), inner
-
-
-def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
-                          eta: float, mu: float,
-                          ref: Optional[Profile] = None,
-                          kappa_cap: float = 1e6) -> dict:
-    """Report the five a-priori quantities and the implied constants.
-
-    Each bound has the shape  quantity <= kappa * scaling(eta, mu); the
-    implied kappa = quantity / scaling is reported and flagged only when it
-    explodes past ``kappa_cap``.
-    """
-    Q = result.profile
-    grid = Q.grid
-    if ref is None:
-        ref = reference_profile(spec, grid)
-    _check_far_fields(Q, ref)
-    h = grid.h
-    v = Q.values - ref.values
-    h1 = math.sqrt(float(np.sum(np.diff(v) ** 2)) / h)
-    # [v]^2_K and the renormalized interaction E_R2 = [v]^2_K + 2 B(v, ref),
-    # four times the stage's interaction piece, from one trial
-    stage = _Stage(_Core(spec, grid, ref), 0.0, 0.0, None, None)
-    pieces, (cv, _) = stage.trial(Q.values)
-    vk = math.sqrt(max(stage.seminorm_sq(v, cv), 0.0))
-    vinf = float(np.abs(v).max())
-    vl2 = math.sqrt(float(np.sum(v * v)) * h)
-    e2 = 4.0 * pieces[3]
-    pot = spec.potential
-    zl, zh = pot.well_lo, pot.well_hi
-    sandwich_ok = bool(np.all(Q.values >= zl - 1e-12) and np.all(Q.values <= zh + 1e-12))
-    quantities = {
-        "v_H1": (h1, math.sqrt(eta * mu) if eta > 0 and mu > 0 else 0.0),
-        "v_K": (vk, math.sqrt(mu) if mu > 0 else 0.0),
-        "v_inf": (vinf, 1.0),
-        "v_L2": (vl2, mu if mu > 0 else 0.0),
-        "E_R2": (e2, None),  # bounded below by -kappa/mu^2
-    }
-    out = {"well_sandwich": sandwich_ok, "bounds": {}, "flagged": []}
-    for name, (val, scale) in quantities.items():
-        if name == "E_R2":
-            imp = (-val) * mu ** 2 if (val < 0 and mu > 0) else 0.0
-        elif scale and scale > 0:
-            imp = val * scale
-        else:
-            imp = float("nan")
-        out["bounds"][name] = {"value": float(val), "implied_kappa": float(imp)}
-        if np.isfinite(imp) and imp > kappa_cap:
-            out["flagged"].append(name)
-    return out

@@ -5,8 +5,10 @@ quadrature for the singular operator, exhaustive pair enumeration for clean
 intervals, a plain double-midpoint sum for the Gagliardo forms, the
 full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
 solve of the barrier problem, exactly rounded Toeplitz row sums and
-quadratic forms, power kernel cell masses as a difference of two powers, and
-the compressed inverse of a Strang circulant by dense inversion.
+quadratic forms, power kernel cell masses as a difference of two powers,
+the compressed inverse of a Strang circulant by dense inversion, and the
+perturbed functional through the windowed bilinear form instead of the
+solver's stage evaluation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from nlhet.discretize import Interval, Profile, WHOLE_LINE, bilinear_form
+from nlhet.model import ProblemSpec, potential_eval_grad
+from nlhet.solver import EnergyBreakdown
 
 
 def dense_nonlocal(f: Callable[[np.ndarray], np.ndarray], x0: float,
@@ -207,3 +213,57 @@ def dense_compressed_circulant_inverse(d0: float, w: np.ndarray, c: float,
     k = np.minimum(offset % M, -offset % M)  # the circular distance
     C = scale * np.where(k <= m, t[np.minimum(k, m)], 0.0)
     return np.linalg.inv(C)[:n, :n]
+
+
+_FAR_FIELD_TOL = 1e-9
+
+
+def _check_far_fields(Q: Profile, ref: Profile) -> None:
+    if (abs(Q.left_const - ref.left_const) > _FAR_FIELD_TOL
+            or abs(Q.right_const - ref.right_const) > _FAR_FIELD_TOL):
+        raise ValueError("far-field constants of Q and the reference differ; "
+                         "renormalization is invalid")
+
+
+def renormalized_interaction(Q: Profile, ref: Profile, spec,
+                             I: Interval = WHOLE_LINE, J: Interval = WHOLE_LINE) -> float:
+    """E_{I x J}(Q) = [Q]^2_{K,I x J} - [ref]^2_{K,I x J}, computed stably.
+
+    Evaluated as [v]^2 + 2 B(v, ref) restricted to I x J, with v = Q - ref,
+    so the value stays finite as the windows grow even though both raw
+    seminorms diverge.  Q and ref must share far-field constants.
+    """
+    if Q.grid != ref.grid:
+        raise ValueError("profiles must share a grid")
+    _check_far_fields(Q, ref)
+    v = Profile(Q.grid, Q.values - ref.values, 0.0, 0.0)
+    kernel = spec.kernel if isinstance(spec, ProblemSpec) else spec
+    vv = bilinear_form(v, v, I, J, kernel)
+    vr = bilinear_form(v, ref, I, J, kernel)
+    return vv + 2.0 * vr
+
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
+def total_energy(Q: Profile, spec: ProblemSpec, eta: float, mu: float,
+                 ref: Profile) -> EnergyBreakdown:
+    """Breakdown of the perturbed functional at (eta, mu): trapezoid-rule
+    local terms, forward-difference viscous cells and a quarter of the
+    whole-line renormalized interaction."""
+    if eta < 0 or mu < 0:
+        raise ValueError("eta and mu must be >= 0")
+    if Q.grid != ref.grid:
+        raise ValueError("profiles must share a grid")
+    h = Q.grid.h
+    tw = _trapezoid_weights(Q.grid.n, h)
+    dv = np.diff(Q.values) / h
+    viscous = 0.5 * eta * float(np.sum(dv * dv)) * h
+    penalty = 0.5 * mu * float(np.sum((Q.values - ref.values) ** 2 * tw))
+    W, _ = potential_eval_grad(spec.potential, Q.values)
+    potential = float(np.sum(np.asarray(spec.modulation(Q.x)) * W * tw))
+    interaction = 0.25 * renormalized_interaction(Q, ref, spec)
+    return EnergyBreakdown(viscous, penalty, potential, interaction)

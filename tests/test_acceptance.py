@@ -13,18 +13,16 @@ from nlhet.appendix_bench import (BUMP_L2_RATIO, TRACE_HHALF_RATIO,
                                   TRACE_L2_RATIO, BumpFamily, TraceExample,
                                   bump_hs_ratio, bump_norms, trace_norms)
 from nlhet.diagnostics import (find_clean_intervals, fit_tail_decay,
-                               lewy_stampacchia_check,
-                               raw_seminorm_window_growth, log_growth_slope,
-                               stickiness_check)
-from nlhet.discretize import Grid, Profile, apply_full_operator
-from nlhet.energy import renormalized_interaction, total_energy
+                               lewy_stampacchia_check, stickiness_check)
+from nlhet.discretize import Grid, Profile, operator_field, workspace_for
 from nlhet.model import verify_model
 from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, SolverConfig,
                           continuation_run, minimize_constrained)
 
 from conftest import layer, modulated_spec, reference_on
-from oracles import brute_clean_intervals
+from lemmas import log_growth_slope, raw_seminorm_window_growth
+from oracles import brute_clean_intervals, renormalized_interaction, total_energy
 
 TWO_PI = 2 * math.pi
 
@@ -202,7 +200,9 @@ def test_criterion_8_gradient_and_monotonicity(anchor_run, modulated_run,
     ref = reference_on(spec, grid)
     Q = anchor_run["result"].profile
     eta, mu = 0.01, 0.05
-    grad = grid.h * apply_full_operator(Q, spec, eta, mu, ref)
+    ws = workspace_for(spec.kernel, grid)
+    grad = grid.h * operator_field(ws, Q.values, Q.left_const, Q.right_const,
+                                   spec, eta=eta, mu=mu, ref=ref.values)[1:-1]
     rng = np.random.default_rng(77)
     eps = 1e-6
     worst = 0.0

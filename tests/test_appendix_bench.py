@@ -9,9 +9,10 @@ from nlhet import discretize
 from nlhet.appendix_bench import (BUMP_L2_RATIO, TRACE_HHALF_RATIO,
                                   TRACE_L2_RATIO, BumpFamily, ResolutionError,
                                   TraceExample, bump_hs_ratio, bump_norms,
-                                  psibar_seminorm, superposition_eval,
-                                  superposition_tail_witness, trace_norms)
+                                  trace_norms)
 
+from lemmas import (psibar_seminorm, superposition_eval,
+                    superposition_tail_witness)
 from oracles import dense_half_seminorm
 
 

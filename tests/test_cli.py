@@ -109,6 +109,18 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _with_value_at_origin(profile_path, tmp_path, column, value):
+    """A copy of a profile CSV with ``value`` in ``column`` on the x = 0 row."""
+    lines = profile_path.read_text().splitlines()
+    k = lines[0].split(",").index(column)
+    mid = (len(lines) - 1) // 2 + 1  # the header, then n rows
+    fields = lines[mid].split(",")
+    assert float(fields[0]) == 0.0
+    fields[k] = value
+    lines[mid] = ",".join(fields)
+    return _write(tmp_path, "bad_profile.csv", "\n".join(lines) + "\n")
+
+
 class TestVerifyModel:
     def test_footnote_passes(self, tmp_path):
         cfg = _write(tmp_path, "m.ini", CONFIG_FOOTNOTE)
@@ -474,7 +486,8 @@ class TestCsvWriters:
         grid, cols = columns
         phi, psi, Phi, Psi = (Profile(grid, c, 0.0, 1.0) for c in cols)
         pair = ObstaclePair(phi, psi, Phi, Psi, ObstacleConfig(b1=-1.0, b2=1.0),
-                            0.5, 0.0, 1.0, 1.0, 0.0)
+                            0.5, 0.0, 1.0, 1.0, 0.0,
+                            (slice(0, 0), np.empty(0), np.empty(0)))
         path = tmp_path / "o.csv"
         write_obstacles_csv(str(path), pair)
         rows = [tuple(float(v) for v in t) for t in zip(grid.x, *cols)]
@@ -559,6 +572,14 @@ class TestProfileReader:
         with pytest.raises(ValueError, match="odd number"):
             read_profile_csv(str(bad))
         assert not recwarn.list
+
+    @pytest.mark.parametrize("column", ["x", "Q", "Qsharp"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_raises(self, solved, tmp_path, column, value):
+        code, tmp, cfg, out = solved
+        bad = _with_value_at_origin(out / "profile.csv", tmp_path, column, value)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_profile_csv(bad)
 
 
 class TestLayerMatch:
@@ -665,6 +686,54 @@ class TestDiagnose:
         code, tmp, cfg, out = solved
         assert main(["diagnose", str(out / "profile.csv"), cfg,
                      "--checks", "frobnicate", "--out", str(tmp_path / "d4")]) == 2
+
+    @staticmethod
+    def _one_line_exit(capsys, argv, code):
+        """``main(argv)`` returns ``code``, prints one line to stderr and
+        writes neither diagnose.json nor a manifest."""
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        out = argv[argv.index("--out") + 1]
+        assert not os.path.exists(os.path.join(out, "diagnose.json"))
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+        return err
+
+    def test_non_finite_profile_exit2(self, solved, tmp_path, capsys):
+        # a NaN used to be dropped silently: every verdict measured, exit 0
+        code, tmp, cfg, out = solved
+        bad = _with_value_at_origin(out / "profile.csv", tmp_path, "Q", "nan")
+        err = self._one_line_exit(
+            capsys, ["diagnose", bad, cfg, "--checks", "clean,tail,holder",
+                     "--out", str(tmp_path / "d5")], 2)
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("key, value, checks", [
+        ("rho", "-1", "clean"),
+        ("alpha", "1.5", "holder"),
+    ])
+    def test_bad_diagnostics_value_exit2(self, solved, tmp_path, capsys, key,
+                                         value, checks):
+        code, tmp, cfg, out = solved
+        cfg2 = _write(tmp_path, "bad.ini", CONFIG_SMALL +
+                      f"\n[diagnostics]\n{key} = {value}\n")
+        self._one_line_exit(capsys, ["diagnose", str(out / "profile.csv"), cfg2,
+                                     "--checks", checks,
+                                     "--out", str(tmp_path / "d6")], 2)
+
+    def test_envelope_clause_failure_exit1(self, tmp_path, capsys):
+        # at h = 0.2 the collars of width 2 tau = 0.1 hold fewer than two
+        # nodes, so the barrier pair cannot be built
+        grid = Grid(R=200.0, n=2001)
+        ref = Profile.from_function(grid, lambda x: layer(x))
+        prof = str(tmp_path / "coarse.csv")
+        write_profile_csv(prof, ref, ref)
+        cfg = _write(tmp_path, "run.ini", CONFIG_SMALL)
+        err = self._one_line_exit(
+            capsys, ["diagnose", prof, cfg, "--checks", "lewy-stampacchia",
+                     "--out", str(tmp_path / "d7")], 1)
+        assert "collar" in err
 
 
 class TestBench:

@@ -5,7 +5,6 @@ import pytest
 
 from nlhet.diagnostics import (DegenerateFitError, PreconditionError,
                                find_clean_intervals, fit_tail_decay,
-                               glue_profile, gluing_energy_defect,
                                holder_estimate, is_clean_point,
                                lewy_stampacchia_check, stickiness_check)
 from nlhet.discretize import Grid, Profile
@@ -13,6 +12,7 @@ from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import minimize_constrained
 
 from conftest import homogeneous_spec, layer, reference_on
+from lemmas import glue_profile, gluing_energy_defect
 from oracles import brute_clean_intervals
 
 TWO_PI = 2 * math.pi
@@ -29,7 +29,7 @@ class TestCleanIntervals:
         assert len(right) == 1
         x_star = 1.0 / math.tan(0.025)
         assert right[0].lo == pytest.approx(x_star, abs=2 * g.h)
-        assert right[0].length >= abs(math.log(0.05))
+        assert right[0].hi - right[0].lo >= abs(math.log(0.05))
         assert right[0].sup_deviation <= 0.05
 
     def test_constant_profile_single_interval(self):
@@ -304,8 +304,8 @@ class TestCertifiedProfileSweeps:
         consts = []
         for rho in (0.1, 0.05, 0.02):
             rep = find_clean_intervals(Q, rho, (0.0, Q.grid.R), (0.0, TWO_PI))
-            iv = max(rep.intervals, key=lambda t: t.length)
-            T = iv.length / 8.0
+            iv = max(rep.intervals, key=lambda t: t.hi - t.lo)
+            T = (iv.hi - iv.lo) / 8.0
             x0 = iv.center
             est = holder_estimate(Q, (x0 - T, x0 + T), alpha)
             bound = (rho ** (1 - alpha / (2 * s)) / abs(math.log(rho)) ** alpha

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from nlhet import discretize
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
-                              apply_full_operator, apply_nonlocal,
-                              bilinear_form, reference_profile, seminorm_K,
-                              strang_symbol, workspace_for)
+                              bilinear_form, operator_field, reference_profile,
+                              seminorm_K, strang_symbol, workspace_for)
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
@@ -35,13 +34,6 @@ class TestGridProfile:
         g = Grid(R=1.0, n=11)
         with pytest.raises(ValueError):
             Profile(g, np.zeros(10), 0.0, 0.0)
-
-    def test_admissibility_flag(self):
-        g = Grid(R=5.0, n=11)
-        p = Profile.from_function(g, lambda x: np.zeros_like(x), 0.0, 0.0)
-        assert p.is_admissible()
-        q = Profile(g, p.values + 1.0, 0.0, 0.0)
-        assert not q.is_admissible()
 
     def test_reference_profile_matches_sampled_ramp(self):
         spec = homogeneous_spec()
@@ -200,20 +192,26 @@ class TestApplyNonlocal:
     def test_annihilates_constants(self):
         g = Grid(R=20.0, n=801)
         p = Profile.from_function(g, lambda x: np.full_like(x, 3.7))
-        vals = [apply_nonlocal(p, KER, i) for i in (1, 100, 400, 799)]
+        L = operator_field(workspace_for(KER, g), p.values, p.left_const,
+                           p.right_const)
+        vals = L[[1, 100, 400, 799]]
         assert np.max(np.abs(vals)) < 1e-10
 
     def test_layer_identity_at_one(self):
         g = Grid(R=400.0, n=40001)
         p = Profile.from_function(g, layer)
         i1 = int(round((1 + g.R) / g.h))
-        assert apply_nonlocal(p, KER, i1) == pytest.approx(1.0, abs=2e-3)
+        L = operator_field(workspace_for(KER, g), p.values, p.left_const,
+                           p.right_const)
+        assert L[i1] == pytest.approx(1.0, abs=2e-3)
 
     def test_layer_identity_at_zero(self):
         g = Grid(R=400.0, n=40001)
         p = Profile.from_function(g, layer)
         i0 = (g.n - 1) // 2
-        assert apply_nonlocal(p, KER, i0) == pytest.approx(0.0, abs=2e-3)
+        L = operator_field(workspace_for(KER, g), p.values, p.left_const,
+                           p.right_const)
+        assert L[i0] == pytest.approx(0.0, abs=2e-3)
 
     def test_matches_dense_oracle(self):
         g = Grid(R=400.0, n=40001)
@@ -222,15 +220,9 @@ class TestApplyNonlocal:
         oracle = dense_nonlocal(layer, 1.0, 0.5, 1 / math.pi, 0.0, TWO_PI,
                                 dt=g.h / 10)
         assert oracle == pytest.approx(1.0, abs=2e-4)
-        assert apply_nonlocal(p, KER, i1) == pytest.approx(oracle, abs=2e-3)
-
-    def test_boundary_index_rejected(self):
-        g = Grid(R=10.0, n=101)
-        p = Profile.from_function(g, layer)
-        with pytest.raises(ValueError):
-            apply_nonlocal(p, KER, 0)
-        with pytest.raises(ValueError):
-            apply_nonlocal(p, KER, 100)
+        L = operator_field(workspace_for(KER, g), p.values, p.left_const,
+                           p.right_const)
+        assert L[i1] == pytest.approx(oracle, abs=2e-3)
 
     def test_tabulated_with_analytic_tail_rejected(self, caplog):
         # a table has no closed-form tail moments: its workspace truncates
@@ -257,10 +249,12 @@ class TestApplyNonlocal:
                          theta0=0.5 / math.pi, Theta0=1.5 / math.pi)
         p = Profile.from_function(g, layer)
         i1 = int(round((1 + g.R) / g.h))
-        v_tab = apply_nonlocal(p, tab, i1)
+        v_tab = operator_field(workspace_for(tab, g), p.values, p.left_const,
+                               p.right_const)[i1]
         ws = workspace_for(KER, g)
         q = p.values[i1]
-        v_pow = (apply_nonlocal(p, KER, i1) - (q - p.left_const) * ws.Wl[i1]
+        v_pow = (operator_field(ws, p.values, p.left_const, p.right_const)[i1]
+                 - (q - p.left_const) * ws.Wl[i1]
                  - (q - p.right_const) * ws.Wr[i1])
         assert v_tab == pytest.approx(v_pow, rel=2e-2)
 
@@ -270,8 +264,9 @@ class TestApplyNonlocal:
         g = Grid(R=200.0, n=8001)
         spec = homogeneous_spec()
         p = reference_on(spec, g)
-        ws_field = [apply_nonlocal(p, KER, i) for i in
-                    range(int(0.5 * g.n) + int(0.25 * g.n), g.n - 5)]
+        L = operator_field(workspace_for(KER, g), p.values, p.left_const,
+                           p.right_const)
+        ws_field = L[int(0.5 * g.n) + int(0.25 * g.n):g.n - 5]
         xs = g.x[int(0.5 * g.n) + int(0.25 * g.n):g.n - 5]
         slope = np.polyfit(np.log(xs), np.log(np.abs(ws_field)), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.2)
@@ -286,7 +281,9 @@ class TestApplyNonlocal:
             g = Grid(R=R, n=n)
             p = Profile.from_function(g, layer)
             i1 = int(round((1 + R) / g.h))
-            errs.append(abs(apply_nonlocal(p, ker, i1) - ref_val))
+            L = operator_field(workspace_for(ker, g), p.values, p.left_const,
+                               p.right_const)
+            errs.append(abs(L[i1] - ref_val))
         orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert min(orders) >= 1.0
 
@@ -296,33 +293,29 @@ class TestFullOperator:
         g = Grid(R=400.0, n=40001)
         spec = homogeneous_spec()
         p = Profile.from_function(g, layer)
-        ref = reference_on(spec, g)
-        res = apply_full_operator(p, spec, 0.0, 0.0, ref)
+        res = operator_field(workspace_for(spec.kernel, g), p.values,
+                             p.left_const, p.right_const, spec)[1:-1]
         assert np.abs(res[1:-1]).max() <= 5e-3
 
     def test_constant_at_well_is_equilibrium(self):
         g = Grid(R=50.0, n=2001)
         spec = homogeneous_spec()
         p = Profile.from_function(g, lambda x: np.zeros_like(x))
-        ref = reference_on(spec, g)
-        res = apply_full_operator(p, spec, 0.3, 0.0, ref)
+        res = operator_field(workspace_for(spec.kernel, g), p.values,
+                             p.left_const, p.right_const, spec, eta=0.3)[1:-1]
         assert np.abs(res).max() < 1e-10
 
     def test_penalty_vanishes_at_reference(self):
         g = Grid(R=50.0, n=2001)
         spec = homogeneous_spec()
         ref = reference_on(spec, g)
-        r1 = apply_full_operator(ref, spec, 0.0, 1.0, ref)
-        r0 = apply_full_operator(ref, spec, 0.0, 0.0, ref)
+        ws = workspace_for(spec.kernel, g)
+        r1 = operator_field(ws, ref.values, ref.left_const, ref.right_const,
+                            spec, mu=1.0, ref=ref.values)[1:-1]
+        r0 = operator_field(ws, ref.values, ref.left_const, ref.right_const,
+                            spec)[1:-1]
         assert np.allclose(r1, r0, atol=1e-14)
         assert np.abs(r0).max() > 1e-3  # the reference is not a solution
-
-    def test_grid_mismatch_rejected(self):
-        spec = homogeneous_spec()
-        p = Profile.from_function(Grid(R=50.0, n=2001), layer)
-        ref = reference_on(spec, Grid(R=50.0, n=1001))
-        with pytest.raises(ValueError):
-            apply_full_operator(p, spec, 0.0, 0.0, ref)
 
 
 def _piecewise_linear(g: Grid, seed: int) -> Profile:

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile, WHOLE_LINE, apply_full_operator, apply_nonlocal
-from nlhet.energy import renormalized_interaction, total_energy
+from nlhet.discretize import (Grid, Profile, WHOLE_LINE, operator_field,
+                              workspace_for)
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import (_Core, _Stage, minimize_constrained,
-                          verify_apriori_bounds)
+from nlhet.solver import _Core, _Stage, minimize_constrained
 
 from conftest import homogeneous_spec, layer, reference_on
-from oracles import trapz
+from lemmas import (increment_growth_exponent, log_growth_slope,
+                    raw_seminorm_window_growth, verify_apriori_bounds)
+from oracles import renormalized_interaction, total_energy, trapz
 
 TWO_PI = 2 * math.pi
 
@@ -56,7 +57,6 @@ class TestRenormalizedInteraction:
 
     def test_raw_seminorm_log_divergence_s_half(self):
         # raw [Q]^2 over [-Rk, Rk]^2 grows like 2 c (z2-z1)^2 log R
-        from nlhet.diagnostics import log_growth_slope, raw_seminorm_window_growth
         spec = homogeneous_spec()
         g = Grid(R=200.0, n=8001)
         Q = Profile.from_function(g, layer, 0.0, TWO_PI)
@@ -67,7 +67,6 @@ class TestRenormalizedInteraction:
         assert slope / theory == pytest.approx(1.0, abs=0.2)
 
     def test_raw_seminorm_power_divergence_s_small(self):
-        from nlhet.diagnostics import increment_growth_exponent, raw_seminorm_window_growth
         spec = homogeneous_spec(s=0.35)
         g = Grid(R=200.0, n=8001)
         Q = Profile.from_function(g, layer, 0.0, TWO_PI)
@@ -126,14 +125,19 @@ class TestEnergyGradient:
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
         stage = _Stage(_Core(spec, grid, ref), 0.3, 0.2, None, None)
         g1 = stage.gradient(Q.values)[1:-1]
-        g2 = grid.h * apply_full_operator(Q, spec, 0.3, 0.2, ref)
+        g2 = grid.h * operator_field(stage.ws, Q.values, Q.left_const,
+                                     Q.right_const, spec, eta=0.3, mu=0.2,
+                                     ref=ref.values)[1:-1]
         assert np.array_equal(g1, g2)
 
     def test_finite_difference_oracle(self, setup):
         spec, grid, ref = setup
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
         eta, mu = 0.05, 0.02
-        grad = grid.h * apply_full_operator(Q, spec, eta, mu, ref)
+        ws = workspace_for(spec.kernel, grid)
+        grad = grid.h * operator_field(ws, Q.values, Q.left_const, Q.right_const,
+                                       spec, eta=eta, mu=mu,
+                                       ref=ref.values)[1:-1]
         rng = np.random.default_rng(42)
         eps = 1e-6
         for idx in rng.integers(1, grid.n - 1, 50):
@@ -148,7 +152,9 @@ class TestEnergyGradient:
     def test_zero_at_well_equilibrium(self, setup):
         spec, grid, _ = setup
         p = Profile.from_function(grid, lambda x: np.zeros_like(x))
-        g = grid.h * apply_full_operator(p, spec, 0.5, 0.0, p)
+        ws = workspace_for(spec.kernel, grid)
+        g = grid.h * operator_field(ws, p.values, p.left_const, p.right_const,
+                                    spec, eta=0.5)[1:-1]
         assert np.abs(g).max() < 1e-12
 
     def test_interaction_gradient_is_operator_on_reference(self, setup):
@@ -157,11 +163,13 @@ class TestEnergyGradient:
         spec, grid, ref = setup
         eps = 1e-6
         rng = np.random.default_rng(1)
+        L_ref = operator_field(workspace_for(spec.kernel, grid), ref.values,
+                               ref.left_const, ref.right_const)
         for idx in rng.integers(5, grid.n - 5, 10):
             Qp, Qm = ref.copy(), ref.copy()
             Qp.values[idx] += eps
             Qm.values[idx] -= eps
             fd = (renormalized_interaction(Qp, ref, spec)
                   - renormalized_interaction(Qm, ref, spec)) / (8 * eps)
-            Lref = apply_nonlocal(ref, spec.kernel, int(idx))
+            Lref = L_ref[idx]
             assert fd == pytest.approx(grid.h * Lref, abs=1e-6 * (1 + abs(Lref)))

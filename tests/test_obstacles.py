@@ -10,13 +10,12 @@ from nlhet.discretize import Grid, workspace_for
 from nlhet.model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from nlhet.obstacles import (BarrierSolveError, EnvelopeClauseError,
                              ObstacleConfig, _band_cg, _verify_clauses,
-                             band_check, barrier_pair, build_envelopes,
-                             compute_rhs_constant, faithful_barriers,
-                             solve_barrier)
+                             barrier_pair, build_envelopes, solve_barrier)
 from nlhet.solver import (ContinuationSchedule, SolverConfig, SolverError,
                           _Core, _Stage, continuation_run)
 
 from conftest import homogeneous_spec, modulated_spec, reference_on
+from lemmas import band_check
 from oracles import dense_barrier
 
 TWO_PI = 2 * math.pi
@@ -38,7 +37,7 @@ class TestRhsConstant:
         spec = modulated_spec()
         # sup|a W'| = 2.5 * 1 for the cosine potential on {0, 2pi}
         expected = 2.5 * 1.0 + 0.0 + 2 * TWO_PI + 1.0
-        assert compute_rhs_constant(spec) == pytest.approx(expected, rel=1e-6)
+        assert spec.rhs_constant == pytest.approx(expected, rel=1e-6)
 
     def test_swept_once_per_spec(self, monkeypatch):
         # C0 depends on the model only: every barrier solve of a continuation
@@ -57,7 +56,7 @@ class TestRhsConstant:
         continuation_run(spec, grid, ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25),
                          sched, SolverConfig())
         assert sum(sweeps) == 1
-        assert compute_rhs_constant(spec) == pytest.approx(
+        assert spec.rhs_constant == pytest.approx(
             1.0 + 2 * TWO_PI + 1.0, rel=1e-6)
         assert sum(sweeps) == 1
 
@@ -102,7 +101,7 @@ class TestSolveBarrier:
         band = (x > cfg.b1 - cfg.tau) & (x < cfg.b2 + cfg.tau)
         u = dense_barrier(ws, band, spec.potential.zeta1 + sign * r,
                           spec.potential.zeta2 + sign * r,
-                          sign * compute_rhs_constant(spec), eta)
+                          sign * spec.rhs_constant, eta)
         got = solve_barrier(spec, cfg, grid, eta)[0 if sign > 0 else 1]
         assert np.max(np.abs(got.values - u)) <= 1e-10 * np.max(np.abs(u))
 
@@ -265,15 +264,14 @@ class TestEnvelopes:
             _verify_clauses(bad)
 
     def test_faithful_reconstruction_roundtrip(self, barrier_setup):
+        # the pair keeps the unscaled solve between b1 and b2, bit for bit
         spec, grid, cfg, phi, psi, pair = barrier_setup
-        phi_f, psi_f = faithful_barriers(pair)
-        assert np.max(np.abs(phi_f.values - phi.values)) < 1e-8
-        assert np.max(np.abs(psi_f.values - psi.values)) < 1e-8
+        assert pair.rhs_scale < 1.0
         mid, phi_mid, psi_mid = copy.deepcopy(pair).corridor
         inside = (grid.x > cfg.b1) & (grid.x < cfg.b2)
         assert np.array_equal(np.arange(grid.n)[mid], np.flatnonzero(inside))
-        assert np.array_equal(phi_mid, phi_f.values[inside])
-        assert np.array_equal(psi_mid, psi_f.values[inside])
+        assert np.array_equal(phi_mid, phi.values[inside])
+        assert np.array_equal(psi_mid, psi.values[inside])
 
     def test_smoothstep_within_two_ulp_of_pow_form(self):
         # t >= 1e-100 keeps t^3 a normal number, where an ulp is relative

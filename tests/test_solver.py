@@ -4,18 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from nlhet.discretize import Grid, Profile, Workspace, apply_full_operator
-from nlhet.energy import total_energy
+from nlhet.discretize import (Grid, Profile, Workspace, operator_field,
+                              workspace_for)
 from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
 from nlhet import obstacles, solver
 from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
                           SolverConfig, SolverError, StagnationError, _Core,
-                          _Stage, continuation_run, minimize_constrained,
-                          residual_EL, truncate_to_wells, verify_apriori_bounds)
+                          _Stage, continuation_run, minimize_constrained)
 
 from conftest import (homogeneous_spec, layer, modulated_spec, reference_on)
-from oracles import dense_compressed_circulant_inverse
+from lemmas import truncate_to_wells, verify_apriori_bounds
+from oracles import dense_compressed_circulant_inverse, total_energy
 
 TWO_PI = 2 * math.pi
 
@@ -146,8 +146,11 @@ class TestMinimizeConstrained:
         ref = reference_on(spec, grid)
         res = minimize_constrained(ref, spec, pair, tight, 1e-2, 0.05)
         assert res.contact, "tight corridor should produce contact"
-        g = np.zeros(grid.n)
-        g[1:-1] = grid.h * apply_full_operator(res.profile, spec, 1e-2, 0.05, ref)
+        Q = res.profile
+        g = grid.h * operator_field(workspace_for(spec.kernel, grid), Q.values,
+                                    Q.left_const, Q.right_const, spec,
+                                    eta=1e-2, mu=0.05, ref=ref.values)
+        g[0] = g[-1] = 0.0
         gtol = SolverConfig().resolve_grad_tol(grid.n)
         q = res.profile.values
         upper = {i for i, _, w in res.contact if w == "upper"}
@@ -358,27 +361,24 @@ class TestBarrierCache:
                                      mu_seq=(1e-1, 2e-2, 0.0))
         real = obstacles.solve_barrier
         keys = []
+        solved = {}
 
         def counting(spec, cfg, grid, eta):
             keys.append(eta)
-            return real(spec, cfg, grid, eta)
+            solved[eta] = real(spec, cfg, grid, eta)
+            return solved[eta]
 
         monkeypatch.setattr(obstacles, "solve_barrier", counting)
-        real_faithful = obstacles.faithful_barriers
-        faithful = []
-
-        def counting_faithful(pair):
-            faithful.append(pair.eta)
-            return real_faithful(pair)
-
-        # the barrier comparison after each constrained stage reconstructs
-        # the faithful barriers once per pair too
-        monkeypatch.setattr(obstacles, "faithful_barriers", counting_faithful)
         res = continuation_run(spec, grid, cfg, sched, SolverConfig())
         assert sorted(keys) == sorted(sched.etas())
-        assert sorted(faithful) == sorted(sched.etas())
         assert len(res.stages) == 7
         assert res.pair.eta == 0.0
+        # the barrier comparison after each constrained stage reads the
+        # unscaled barriers that the pair kept from that one solve
+        mid, phi_mid, psi_mid = res.pair.corridor
+        phi, psi = solved[0.0]
+        assert np.array_equal(phi_mid, phi.values[mid])
+        assert np.array_equal(psi_mid, psi.values[mid])
 
 
 class TestStageRunner:
@@ -459,10 +459,13 @@ class TestFinalEvaluation:
         assert res.breakdown == fresh.breakdown
 
     def test_residual_matches_independent_check(self, small_run):
-        # the stage gradient over h against residual_EL's operator field:
+        # the stage gradient over h against the operator field itself:
         # measured 7e-15 apart
         spec, grid, cfg, sched, res = small_run
-        rmax, _ = residual_EL(res.profile, spec)
+        Q = res.profile
+        field = operator_field(workspace_for(spec.kernel, grid), Q.values,
+                               Q.left_const, Q.right_const, spec)
+        rmax = np.abs(field[2:-2]).max()
         assert res.residual_max == pytest.approx(rmax, rel=0, abs=1e-12)
 
 
@@ -602,20 +605,23 @@ class TestResidualEL:
         spec = homogeneous_spec()
         g = Grid(R=400.0, n=40001)
         Q = Profile.from_function(g, layer)
-        rmax, field = residual_EL(Q, spec)
-        assert rmax <= 5e-3
+        field = operator_field(workspace_for(spec.kernel, g), Q.values,
+                               Q.left_const, Q.right_const, spec)[2:-2]
+        assert np.abs(field).max() <= 5e-3
         assert field.size == g.n - 4
 
     def test_equilibrium_residual_zero(self):
         spec = homogeneous_spec()
         g = Grid(R=60.0, n=2401)
         Q = Profile.from_function(g, lambda x: np.full_like(x, TWO_PI))
-        rmax, _ = residual_EL(Q, spec)
-        assert rmax < 1e-10
+        field = operator_field(workspace_for(spec.kernel, g), Q.values,
+                               Q.left_const, Q.right_const, spec)[2:-2]
+        assert np.abs(field).max() < 1e-10
 
     def test_reference_is_not_a_solution(self):
         spec = homogeneous_spec()
         g = Grid(R=60.0, n=2401)
         ref = reference_on(spec, g)
-        rmax, _ = residual_EL(ref, spec)
-        assert rmax > 1e-2
+        field = operator_field(workspace_for(spec.kernel, g), ref.values,
+                               ref.left_const, ref.right_const, spec)[2:-2]
+        assert np.abs(field).max() > 1e-2

@@ -1,8 +1,10 @@
 """Plain-text configuration (INI sections, key = value) -> model objects.
 
 One file drives a run; the resolved content is hashed so identical configs
-produce identical outputs.  Sequences are comma-separated.  Obstacle
-endpoints default to the modulation's window centers m1/m2 when omitted.
+produce identical outputs.  A section or key that the parser does not read
+is rejected, so a misspelt name cannot fall back to its default silently.
+Sequences are comma-separated.  Obstacle endpoints default to the
+modulation's window centers m1/m2 when omitted.
 """
 
 from __future__ import annotations
@@ -57,18 +59,6 @@ def _floats(text: str) -> Tuple[float, ...]:
     return tuple(float(t) for t in text.replace(";", ",").split(",") if t.strip())
 
 
-def _get(cp, sec, key, cast=float, default=None):
-    if not cp.has_option(sec, key):
-        return default
-    raw = cp.get(sec, key)
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as e:
-        raise ConfigError(f"[{sec}] {key} = {raw!r}: {e}") from e
-
-
 def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -79,43 +69,55 @@ def parse_config(path: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(str(e), getattr(e, "lineno", None)) from e
 
+    read = set()  # (section, key): every key the parser knows
+
+    def get(sec, key, cast=float, default=None):
+        read.add((sec, cp.optionxform(key)))
+        if not cp.has_option(sec, key):
+            return default
+        raw = cp.get(sec, key)
+        try:
+            if cast is bool:
+                return raw.strip().lower() in ("1", "true", "yes", "on")
+            return cast(raw)
+        except ValueError as e:
+            raise ConfigError(f"[{sec}] {key} = {raw!r}: {e}") from e
+
     try:
         kernel = KernelSpec(
-            s=_get(cp, "kernel", "s", float, 0.5),
-            form={"powerlaw": "power"}.get(
-                (_get(cp, "kernel", "form", str, "power") or "power").lower(),
-                (_get(cp, "kernel", "form", str, "power") or "power").lower()),
-            c=_get(cp, "kernel", "c", float, None),
-            theta0=_get(cp, "kernel", "theta0", float, None),
-            Theta0=_get(cp, "kernel", "Theta0", float, None),
-            r0=_get(cp, "kernel", "r0", float, 1.0),
+            s=get("kernel", "s", float, 0.5),
+            form=(get("kernel", "form", str, "power") or "power").lower(),
+            c=get("kernel", "c", float, None),
+            theta0=get("kernel", "theta0", float, None),
+            Theta0=get("kernel", "Theta0", float, None),
+            r0=get("kernel", "r0", float, 1.0),
         )
         potential = PotentialSpec(
-            zeta1=_get(cp, "potential", "zeta1", float, 0.0),
-            zeta2=_get(cp, "potential", "zeta2", float, 2 * math.pi),
-            form=(_get(cp, "potential", "form", str, "cosine") or "cosine").lower(),
-            amplitude=_get(cp, "potential", "amplitude", float, 1.0),
-            delta0=_get(cp, "potential", "delta0", float, None),
-            c0=_get(cp, "potential", "c0", float, None),
-            C0_growth=_get(cp, "potential", "C0_growth", float, None),
+            zeta1=get("potential", "zeta1", float, 0.0),
+            zeta2=get("potential", "zeta2", float, 2 * math.pi),
+            form=(get("potential", "form", str, "cosine") or "cosine").lower(),
+            amplitude=get("potential", "amplitude", float, 1.0),
+            delta0=get("potential", "delta0", float, None),
+            c0=get("potential", "c0", float, None),
+            C0_growth=get("potential", "C0_growth", float, None),
         )
         modulation = ModulationSpec(
-            form=(_get(cp, "modulation", "form", str, "constant") or "constant").lower(),
-            base=_get(cp, "modulation", "base", float, 1.0),
-            eps=_get(cp, "modulation", "eps", float, 0.0),
-            delta_freq=_get(cp, "modulation", "delta_freq", float, 1.0),
-            m1=_get(cp, "modulation", "m1", float, 0.0),
-            m2=_get(cp, "modulation", "m2", float, 0.0),
-            omega=_get(cp, "modulation", "omega", float, 0.0),
-            theta=_get(cp, "modulation", "theta", float, 0.0),
-            gamma=_get(cp, "modulation", "gamma", float, 0.0),
+            form=(get("modulation", "form", str, "constant") or "constant").lower(),
+            base=get("modulation", "base", float, 1.0),
+            eps=get("modulation", "eps", float, 0.0),
+            delta_freq=get("modulation", "delta_freq", float, 1.0),
+            m1=get("modulation", "m1", float, 0.0),
+            m2=get("modulation", "m2", float, 0.0),
+            omega=get("modulation", "omega", float, 0.0),
+            theta=get("modulation", "theta", float, 0.0),
+            gamma=get("modulation", "gamma", float, 0.0),
         )
         spec = ProblemSpec(kernel, potential, modulation)
-        grid = Grid(R=_get(cp, "grid", "R", float, 200.0),
-                    n=_get(cp, "grid", "n", int, 8001))
+        grid = Grid(R=get("grid", "R", float, 200.0),
+                    n=get("grid", "n", int, 8001))
         explicit_b = cp.has_option("obstacles", "b1") or cp.has_option("obstacles", "b2")
-        b1 = _get(cp, "obstacles", "b1", float, None)
-        b2 = _get(cp, "obstacles", "b2", float, None)
+        b1 = get("obstacles", "b1", float, None)
+        b2 = get("obstacles", "b2", float, None)
         if b1 is None:
             b1 = modulation.m1
         if b2 is None:
@@ -123,51 +125,55 @@ def parse_config(path: str) -> RunConfig:
         try:
             obstacles = ObstacleConfig(
                 b1=b1, b2=b2,
-                tau=_get(cp, "obstacles", "tau", float, 0.05),
-                r=_get(cp, "obstacles", "r", float, None),
+                tau=get("obstacles", "tau", float, 0.05),
+                r=get("obstacles", "r", float, None),
             )
         except ValueError:
             if explicit_b:
                 raise
             obstacles = None  # commands that need obstacles reject this later
         schedule = ContinuationSchedule(
-            eta_seq=_floats(cp.get("continuation", "eta_seq"))
-            if cp.has_option("continuation", "eta_seq") else (1e-1, 1e-2, 1e-3, 0.0),
-            mu_seq=_floats(cp.get("continuation", "mu_seq"))
-            if cp.has_option("continuation", "mu_seq") else (1e-1, 2e-2, 5e-3, 0.0),
+            eta_seq=get("continuation", "eta_seq", _floats, (1e-1, 1e-2, 1e-3, 0.0)),
+            mu_seq=get("continuation", "mu_seq", _floats, (1e-1, 2e-2, 5e-3, 0.0)),
         )
         solver = SolverConfig(
-            max_iters=_get(cp, "solver", "max_iters", int, 200000),
-            grad_tol=_get(cp, "solver", "grad_tol", float, None),
+            max_iters=get("solver", "max_iters", int, 200000),
+            grad_tol=get("solver", "grad_tol", float, None),
         )
-        limit_tol = _get(cp, "limit", "tol", float, None)
+        limit_tol = get("limit", "tol", float, None)
         report = {
-            "layer_match": _get(cp, "report", "layer_match", bool, False),
-            "layer_tol": _get(cp, "report", "layer_tol", float, 0.05),
+            "layer_match": get("report", "layer_match", bool, False),
+            "layer_tol": get("report", "layer_tol", float, 0.05),
         }
         diagnostics = {
-            "rho": _get(cp, "diagnostics", "rho", float, 0.05),
-            "stickiness_tol": _get(cp, "diagnostics", "stickiness_tol", float, 1e-2),
-            "ls_slack": _get(cp, "diagnostics", "ls_slack", float, None),
-            "alpha": _get(cp, "diagnostics", "alpha", float, None),
-            "x1": _get(cp, "diagnostics", "x1", float, None),
-            "x2": _get(cp, "diagnostics", "x2", float, None),
-            "eta": _get(cp, "diagnostics", "eta", float, 0.0),
-            "mu": _get(cp, "diagnostics", "mu", float, 0.0),
+            "rho": get("diagnostics", "rho", float, 0.05),
+            "stickiness_tol": get("diagnostics", "stickiness_tol", float, 1e-2),
+            "ls_slack": get("diagnostics", "ls_slack", float, None),
+            "alpha": get("diagnostics", "alpha", float, None),
+            "x1": get("diagnostics", "x1", float, None),
+            "x2": get("diagnostics", "x2", float, None),
+            "eta": get("diagnostics", "eta", float, 0.0),
+            "mu": get("diagnostics", "mu", float, 0.0),
         }
         bench = {
-            "s_values": _floats(cp.get("bench", "s_values"))
-            if cp.has_option("bench", "s_values") else (0.3, 0.4),
-            "kmax": _get(cp, "bench", "kmax", int, 8),
-            "resolution": _get(cp, "bench", "resolution", int, 4001),
-            "trace_kmax": _get(cp, "bench", "trace_kmax", int, 3),
-            "bump_tol": _get(cp, "bench", "bump_tol", float, 0.03),
-            "trace_tol": _get(cp, "bench", "trace_tol", float, 0.05),
+            "s_values": get("bench", "s_values", _floats, (0.3, 0.4)),
+            "kmax": get("bench", "kmax", int, 8),
+            "resolution": get("bench", "resolution", int, 4001),
+            "trace_kmax": get("bench", "trace_kmax", int, 3),
+            "bump_tol": get("bench", "bump_tol", float, 0.03),
+            "trace_tol": get("bench", "trace_tol", float, 0.05),
         }
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
+
+    known = {sec for sec, _ in read}
+    unknown = [f"[{sec}]" for sec in cp.sections() if sec not in known] + [
+        f"[{sec}] {key}" for sec in cp.sections() if sec in known
+        for key in cp.options(sec) if (sec, key) not in read]
+    if unknown:
+        raise ConfigError("unknown section or key: " + ", ".join(unknown))
 
     raw = {s: dict(cp.items(s)) for s in cp.sections()}
     digest = config_digest(raw)

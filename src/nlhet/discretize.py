@@ -23,13 +23,15 @@ the diagonal rho + Wl + Wr is 2 T(h/2); only a tabulated kernel convolves
 
 All weights depend only on |i - j|, so operator application and every
 double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
-summation order (deterministic output for identical input).  The Toeplitz
-matrix embeds in a symmetric circulant of length L, the next power of two
->= 2n - 1 (R. Chan & Ng, SIAM Rev. 38, 1996): its first column is
-[0, w_1 .. w_{n-1}, 0 .., w_{n-1} .. w_1], its eigenvalues are real, and the
-first n outputs of the circular product with a zero-padded profile are the
-Toeplitz product.  A whole-line seminorm is then a quadratic form, which
-Parseval's identity evaluates from one forward transform, with no inverse.
+summation order (deterministic output for identical input); no other
+module transforms.  The Toeplitz matrix embeds in a symmetric circulant of
+length L, the next power of two >= 2n - 1 (R. Chan & Ng, SIAM Rev. 38,
+1996): its first column is [0, w_1 .. w_{n-1}, 0 .., w_{n-1} .. w_1], its
+eigenvalues are real, and the first n outputs of the circular product with a
+zero-padded profile are the Toeplitz product (``toeplitz_circulant``).  A
+whole-line seminorm is then a quadratic form, which Parseval's identity
+evaluates from one forward transform.  ``strang_circulant`` owns the Strang
+preconditioner (Strang, Stud. Appl. Math. 74, 1986).
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ __all__ = [
     "seminorm_K",
     "bilinear_form",
     "second_difference",
-    "strang_symbol",
+    "toeplitz_circulant",
+    "strang_circulant",
 ]
 
 
@@ -69,8 +72,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("half-width R must be > 0")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"half-width R must be finite and > 0, not {self.R}")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError("node count n must be odd and >= 3")
 
@@ -156,6 +159,51 @@ def _tail_moment(ker: KernelSpec, t: np.ndarray) -> np.ndarray:
     return np.where(t < ker.r0, inside, 0.0)
 
 
+class Circulant:
+    """Symmetric circulant C of length L, acting along axis 0 on n-node
+    arrays by its real eigenvalues ``lam`` and one FFT pair: ``C(f)`` is
+    E^T C E f and ``C.solve(r)`` E^T C^-1 E r, E the zero padding to L.  Its
+    column holds t[k] at offsets k and L - k: the package's only column."""
+
+    def __init__(self, t: np.ndarray, L: int, n: int):
+        col = np.zeros(L)
+        col[:t.size] = t
+        col[L - t.size + 1:] = t[:0:-1]
+        self.L, self.n = L, n
+        self.lam = np.fft.rfft(col).real.copy()
+
+    def __call__(self, f: np.ndarray, op=np.multiply) -> np.ndarray:
+        ff = np.fft.rfft(f, self.L, axis=0)
+        op(ff, self.lam.reshape((-1,) + (1,) * (ff.ndim - 1)), out=ff)
+        return np.fft.irfft(ff, self.L, axis=0)[:self.n].copy()
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self(r, np.divide)
+
+
+def toeplitz_circulant(w: np.ndarray, n: int) -> Circulant:
+    """The circulant embedding of the n x n Toeplitz matrix with w[k-1] at
+    offset k and a zero diagonal, at the next power of two >= 2n - 1."""
+    return Circulant(np.concatenate(([0.0], w[:n - 1])),
+                     1 << (2 * n - 2).bit_length(), n)
+
+
+def strang_circulant(d0: float, w: np.ndarray, c: float, n: int,
+                     scale: float = 1.0) -> Circulant:
+    """Strang circulant on n nodes of the Toeplitz operator with d0 + 2c on
+    the diagonal, -w[k-1] at offset k and -c more at offset 1 (the eta
+    stencil), times ``scale``, at length M = the next power of two >= n (at
+    least 4), offsets up to (M-1)//2.  The symbol is clamped at 1e-12 of its
+    max: without exterior tails or shift it vanishes at frequency zero."""
+    M = 1 << max(n - 1, 2).bit_length()
+    t = np.concatenate(([d0 + 2.0 * c], -w[:(M - 1) // 2]))
+    t[1] -= c
+    circ = Circulant(t, M, n)
+    sym = scale * circ.lam
+    circ.lam = np.maximum(sym, 1e-12 * sym.max())
+    return circ
+
+
 class Workspace:
     """Precomputed Toeplitz weights for one (kernel, grid) pair.
 
@@ -167,18 +215,14 @@ class Workspace:
     the row sums telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).
     A tabulated kernel has midpoint masses, zero tails (with a warning) and
     rho = conv(ones), the only convolution a build runs.
-    ``lam`` holds the real eigenvalues of the length-``_L`` circulant that
-    embeds the Toeplitz weights (``_L`` is the next power of two >= 2n - 1,
-    16384 at n = 8001).  ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0)
-    is the first n outputs of that circulant times the zero-padded f, and
+    ``toeplitz`` is the circulant embedding of the weights (length 16384 at
+    n = 8001): ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0), and
     ``quad(f) = f . conv(f)`` is its Parseval sum over one forward transform.
     """
 
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.kernel, self.grid = kernel, grid
         n, h = grid.n, grid.h
-        self._n = n
-        self._L = L = 1 << (2 * n - 2).bit_length()
         if kernel.form == "tabulated":
             logging.getLogger("nlhet").warning(
                 "tabulated kernel: exterior tails are truncated to zero")
@@ -191,52 +235,25 @@ class Workspace:
             self.Wl = T
             self.Wr = T[::-1]
             self.rho = 2.0 * T[0] - self.Wl - self.Wr
-        col = np.zeros(L)
-        col[1:n] = self.w
-        col[L - n + 1:] = self.w[::-1]
-        self.lam = np.fft.rfft(col).real.copy()
+        self.toeplitz = toeplitz_circulant(self.w, n)
         if kernel.form == "tabulated":
             self.rho = self.conv(np.ones(n))
         self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
-        ff = np.fft.rfft(f, self._L)
-        ff *= self.lam
-        return np.fft.irfft(ff, self._L)[:self._n].copy()
+        return self.toeplitz(f)
 
     def quad(self, f: np.ndarray) -> float:
         """f . conv(f) = sum_k lam_k |F_k|^2 / L over the full spectrum of
         the zero-padded f; the rfft half counts every bin twice but 0 and
         L/2.  Summed with np.sum, not a BLAS dot: a dot this long wakes a
         second BLAS thread that then spins."""
-        ff = np.fft.rfft(f, self._L)
+        L = self.toeplitz.L
+        ff = np.fft.rfft(f, L)
         p = ff.real * ff.real
         p += ff.imag * ff.imag
-        p *= self.lam
-        return (2.0 * float(np.sum(p[1:-1])) + float(p[0]) + float(p[-1])) / self._L
-
-
-def strang_symbol(d0: float, w: np.ndarray, c: float, M: int,
-                  scale: float = 1.0) -> np.ndarray:
-    """Eigenvalues of the length-M Strang circulant of a symmetric Toeplitz
-    operator: d0 + 2c on the diagonal, -w[k-1] at offset k, and -c more on
-    the first off-diagonals (the eta stencil), all times ``scale``.
-
-    The column keeps the offsets 1 .. (M-1)//2 on either side (Strang, Stud.
-    Appl. Math. 74, 1986), so any M >= 3 works; a power of two is the fast
-    length.  The symbol is clamped at 1e-12 of its maximum: without exterior
-    tails (a tabulated kernel) and without the diagonal shift it vanishes at
-    frequency zero.
-    """
-    m = (M - 1) // 2
-    col = np.zeros(M)
-    col[0] = d0 + 2.0 * c
-    col[1:m + 1] = -w[:m]
-    col[M - m:] = -w[:m][::-1]
-    col[1] -= c
-    col[-1] -= c
-    sym = scale * np.fft.rfft(col).real
-    return np.maximum(sym, 1e-12 * sym.max())
+        p *= self.toeplitz.lam
+        return (2.0 * float(np.sum(p[1:-1])) + float(p[0]) + float(p[-1])) / L
 
 
 _WS_CACHE: dict = {}

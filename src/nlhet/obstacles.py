@@ -7,7 +7,8 @@ The barriers phi (upper) and psi (lower) solve the linear Dirichlet problem
 
 with C0 = sup|a W'| + 2|zeta1| + 2|zeta2| + 1 (computed, never user-set).
 Both barriers come from one matrix-free preconditioned CG on the band: the
-band block is Toeplitz plus a diagonal and is never assembled.
+band block is Toeplitz plus a diagonal and is never assembled; its product
+and preconditioner are ``discretize.toeplitz_circulant``/``strang_circulant``.
 The smooth envelopes Phi >= ... >= Psi must satisfy five clauses: equality
 with the barrier outside [b1-2tau, b2+2tau], a [zeta + 3r/4, zeta + 5r/4]
 sandwich below the barrier on the collars, and dominance over the barrier
@@ -33,7 +34,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .discretize import Grid, Profile, strang_symbol, workspace_for
+from .discretize import (Grid, Profile, operator_field, strang_circulant,
+                         toeplitz_circulant, workspace_for)
 from .model import ProblemSpec
 
 __all__ = [
@@ -154,12 +156,12 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
     """Solve the mixed local/nonlocal Dirichlet problem for (phi, psi).
 
     The band block is symmetric positive definite: the Toeplitz part -w_|i-j|
-    from one kernel row, applied by one FFT pair of a power-of-two length
-    >= 2nb - 1, plus the diagonal and the eta stencil.  The exterior data
-    couple in through one convolution of the data with the band zeroed.
+    from one kernel row (``toeplitz_circulant`` of the band), plus the
+    diagonal and the eta stencil.  The exterior data couple in through the
+    operator field of the data with the band zeroed, read on the band.
     Both barriers (right-hand sides of sign +1 and -1) are the two columns of
     one matrix-free CG, preconditioned by the Strang circulant of the same
-    row (``strang_symbol``).  The true residual must come out below
+    row (``strang_circulant``).  The true residual must come out below
     1e-8 * C0; a CG breakdown, a solve that hits its cap of nb iterations or
     a residual above the bound raises BarrierSolveError.
     """
@@ -179,35 +181,21 @@ def solve_barrier(spec: ProblemSpec, cfg: ObstacleConfig, grid: Grid,
         gl = spec.potential.zeta1 + sign * r
         gr = spec.potential.zeta2 + sign * r
         u = np.where(grid.x <= cfg.b1 - cfg.tau, gl, gr)
-        b = np.full(nb, sign * C0)
-        b += ws.Wl[band] * gl + ws.Wr[band] * gr
         outside = u.copy()
         outside[band] = 0.0
-        b += ws.conv(outside)[band]
-        b[0] += c * gl  # the eta neighbours of the band ends hold gl and gr
-        b[-1] += c * gr
-        B[:, k] = b
+        B[:, k] = sign * C0 - operator_field(ws, outside, gl, gr, eta=eta)[band]
         pair.append(Profile(grid, u, gl, gr))
 
     dg = (ws.diag[band] + 2 * c)[:, None]
-    L = 1 << (2 * nb - 2).bit_length()
-    row = np.zeros(L)
-    row[1:nb] = ws.w[:nb - 1]
-    row[L - nb + 1:] = ws.w[:nb - 1][::-1]
-    row_f = np.fft.rfft(row)[:, None]
+    toeplitz = toeplitz_circulant(ws.w, nb)
 
     def matvec(U):
-        AU = dg * U - np.fft.irfft(np.fft.rfft(U, L, axis=0) * row_f, L, axis=0)[:nb]
+        AU = dg * U - toeplitz(U)
         AU[1:] -= c * U[:-1]
         AU[:-1] -= c * U[1:]
         return AU
 
-    M = 1 << max(nb - 1, 2).bit_length()   # >= 4, so the column has an offset 1
-    symbol = strang_symbol(ws.diag[band[nb // 2]], ws.w, c, M)[:, None]
-
-    def precondition(Rs):
-        return np.fft.irfft(np.fft.rfft(Rs, M, axis=0) / symbol, M, axis=0)[:nb]
-
+    precondition = strang_circulant(ws.diag[band[nb // 2]], ws.w, c, nb).solve
     # CG stops two decades below the gate: its recursive residual drifts
     # from the true one by round-off
     U, iters = _band_cg(matvec, precondition, B, 1e-10 * C0, nb)

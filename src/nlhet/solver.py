@@ -6,13 +6,11 @@ fixed when it lies within min(stationarity, 1e-3) of a bound with the
 gradient pushing outward; the window edges are always fixed.  Fixed nodes
 take the projected gradient step.  On the free nodes, preconditioned CG
 solves the Newton system to the relative residual min(0.5, sqrt(stationarity)),
-with the Strang circulant of the stage Hessian as preconditioner.  The
-circulant has the fast length M, the next power of two >= n: a residual is
-zero-padded to M, solved by one FFT pair of length M and cut back to n nodes,
-which applies E^T C_M^-1 E, a compression of an SPD inverse and so SPD
-(R. Chan & Ng, SIAM Review 38, 1996, section 3).  If CG meets negative
-curvature at its first step (the stage is locally nonconvex, a W'' < 0) the
-direction is the first preconditioned residual instead.
+preconditioned by the Strang circulant of the stage Hessian, which
+``discretize.strang_circulant`` owns (E^T C_M^-1 E is SPD: R. Chan & Ng,
+SIAM Review 38, 1996, section 3).  If CG meets negative curvature at its
+first step (the stage is locally nonconvex, a W'' < 0) the direction is the
+first preconditioned residual instead.
 Armijo backtracking along the projection arc accepts only a strict energy
 decrease.  The stationarity measure is ||Q - proj(Q - g)||_2 with g the
 discrete energy gradient, so at free nodes the Euler-Lagrange residual is
@@ -42,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .discretize import (Grid, Profile, operator_field, operator_linear,
-                         reference_profile, strang_symbol, workspace_for)
+                         reference_profile, strang_circulant, workspace_for)
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
                     verify_model)
 from .obstacles import ObstacleConfig, ObstaclePair, barrier_pair
@@ -203,18 +201,14 @@ class _Core:
         self.a = np.asarray(spec.modulation(grid.x))
         self.tw = np.full(n, h)
         self.tw[0] = self.tw[-1] = h / 2.0
-        rv = ref.values
-        self.conv_ref = ws.conv(rv)
-        # weight of the interaction's cross term: svr = 2 h sum(v w_ref)
-        self.w_ref = (rv * ws.rho - self.conv_ref
-                      + (rv - ref.left_const) * ws.Wl
-                      + (rv - ref.right_const) * ws.Wr)
+        self.conv_ref = ws.conv(ref.values)
+        # weight of the interaction's cross term, L ref: svr = 2 h sum(v w_ref)
+        self.w_ref = operator_field(ws, ref.values, ref.left_const,
+                                    ref.right_const, conv_q=self.conv_ref)
         pot = spec.potential
-        # the preconditioner's curvature: a W'' frozen at its mean over the
-        # wells; its FFT length: the next power of two >= n
+        # the preconditioner's curvature: a W'' frozen at its mean over the wells
         self.c_wells = float(np.mean(self.a)) * float(np.mean(
             potential_hess(pot, np.array([pot.zeta1, pot.zeta2]))))
-        self.M = 1 << (n - 1).bit_length()
 
 
 class _Stage:
@@ -230,10 +224,9 @@ class _Stage:
         n = self.grid.n
         self.trials = 0
         self.cg = 0
-        # Strang circulant of the stage Hessian at the fast length M >= n:
-        # its eigenvalues from one rfft
-        self.symbol = strang_symbol(ws.diag[(n - 1) // 2] + (core.c_wells + mu),
-                                    ws.w, eta / h ** 2, core.M, h)
+        self.precondition = strang_circulant(
+            ws.diag[(n - 1) // 2] + (core.c_wells + mu), ws.w, eta / h ** 2,
+            n, h).solve
         # feasible box: well sandwich, intersected with the obstacle band
         pot = self.spec.potential
         self.lob = np.full(n, pot.well_lo)
@@ -324,12 +317,6 @@ class _Stage:
     def hessvec(self, c: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Hessian-vector product at the q whose ``curvature`` is c."""
         return self.h * operator_linear(self.ws, p, c, self.eta)
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The Strang circulant's inverse applied to r, zero-padded to the
-        fast length and cut back to n nodes."""
-        M = self.core.M
-        return np.fft.irfft(np.fft.rfft(r, M) / self.symbol, M)[:r.size]
 
     def project(self, q: np.ndarray) -> np.ndarray:
         return np.clip(q, self.lob, self.upb)

@@ -140,6 +140,31 @@ class TestVerifyModel:
         cfg = _write(tmp_path, "m.ini", "[kernel]\ns = fast\n")
         assert main(["verify-model", cfg]) == 2
 
+    @pytest.mark.parametrize("R", ["nan", "inf"])
+    def test_nonfinite_half_width_usage_error(self, tmp_path, capsys, R):
+        cfg = _write(tmp_path, "m.ini", CONFIG_SMALL.replace(
+            "R = 60.0", f"R = {R}"))
+        assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "half-width R" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[solvr]\nmax_iters = 10\n", "[solvr]"),
+        ("[solvr]\n", "[solvr]"),
+        ("[solver]\ngrad_tool = 1e-3\n", "[solver] grad_tool"),
+        ("[grid]\nR = 30.0\nwidth = 3\n", "[grid] width"),
+    ])
+    def test_unknown_section_or_key_usage_error(self, tmp_path, capsys, text,
+                                                named):
+        cfg = _write(tmp_path, "m.ini", CONFIG_FOOTNOTE + "\n" + text)
+        assert main(["verify-model", cfg]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_powerlaw_alias_rejected(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "m.ini", "[kernel]\nform = powerlaw\n")
+        assert main(["verify-model", cfg]) == 2
+        assert "powerlaw" in capsys.readouterr().err
+
     def test_missing_config_env_error(self, tmp_path):
         assert main(["verify-model", str(tmp_path / "no.ini")]) == 3
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nlhet import discretize
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
                               bilinear_form, operator_field, reference_profile,
-                              seminorm_K, strang_symbol, workspace_for)
+                              seminorm_K, strang_circulant, toeplitz_circulant,
+                              workspace_for)
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
@@ -29,6 +30,11 @@ class TestGridProfile:
         g = Grid(R=10.0, n=101)
         assert g.h == pytest.approx(0.2)
         assert g.x[50] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_half_width_must_be_finite_and_positive(self, R):
+        with pytest.raises(ValueError, match="half-width R"):
+            Grid(R=R, n=101)
 
     def test_profile_shape_checked(self):
         g = Grid(R=1.0, n=11)
@@ -82,8 +88,8 @@ class TestWorkspaceQuad:
 
     def test_spectrum_is_real_and_half_length(self):
         ws = workspace_for(KER, Grid(R=10.0, n=101))
-        assert ws.lam.dtype == np.float64
-        assert ws.lam.shape == (ws._L // 2 + 1,)
+        assert ws.toeplitz.lam.dtype == np.float64
+        assert ws.toeplitz.lam.shape == (ws.toeplitz.L // 2 + 1,)
 
 
 class TestWorkspaceCache:
@@ -99,12 +105,16 @@ class TestWorkspaceCache:
 
 
 class TestStrangSymbol:
-    @pytest.mark.parametrize("M", [4, 7, 64, 101])
-    def test_symbol_diagonalizes_the_dense_circulant(self, M):
-        # the circulant keeps offsets up to (M - 1) // 2 on either side; for
-        # even M the offset M / 2 is left empty
+    @pytest.mark.parametrize("n", [4, 7, 64, 101])
+    def test_symbol_diagonalizes_the_dense_circulant(self, n):
+        # the circulant has the next power of two M >= n as its length and
+        # keeps offsets up to (M - 1) // 2 on either side; the offset M / 2
+        # is left empty
         ws = workspace_for(KER, Grid(R=10.0, n=201))
         d0, c, scale = float(ws.diag[100]), 0.3, 0.7
+        circ = strang_circulant(d0, ws.w, c, n, scale)
+        M = circ.L
+        assert M == {4: 4, 7: 8, 64: 64, 101: 128}[n]
         t = np.concatenate([[d0 + 2 * c], -ws.w[:M]])
         t[1] -= c
         C = np.zeros((M, M))
@@ -114,15 +124,28 @@ class TestStrangSymbol:
                 if k <= (M - 1) // 2:
                     C[i, j] = scale * t[k]
         v = np.random.default_rng(M).normal(size=M)
-        sym = strang_symbol(d0, ws.w, c, M, scale)
-        got = np.fft.irfft(sym * np.fft.rfft(v), M)
+        got = np.fft.irfft(circ.lam * np.fft.rfft(v), M)
         assert np.max(np.abs(got - C @ v)) <= 1e-12 * np.max(np.abs(C @ v))
 
     def test_symbol_clamped_where_it_vanishes(self):
         # row sums zero out: the symbol is 0 at frequency zero before the clamp
         w = np.array([1.0, 0.5, 0.25])
-        sym = strang_symbol(2 * w.sum(), w, 0.0, 8)
+        sym = strang_circulant(2 * w.sum(), w, 0.0, 8).lam
         assert sym.min() == 1e-12 * sym.max() > 0.0
+
+    def test_acts_on_columns_along_axis_0(self):
+        # the barrier solves both right-hand sides as the two columns of one
+        # array: each column must get what it gets alone
+        ws = workspace_for(KER, Grid(R=10.0, n=201))
+        U = np.random.default_rng(3).normal(size=(37, 2))
+        for op in (toeplitz_circulant(ws.w, 37),
+                   strang_circulant(float(ws.diag[100]), ws.w, 0.3, 37).solve):
+            both = op(U)
+            assert both.shape == U.shape
+            for k in range(2):
+                alone = op(U[:, k].copy())
+                err = np.max(np.abs(both[:, k] - alone))
+                assert err <= 1e-14 * np.max(np.abs(alone))
 
 
 _TABLE_R = np.geomspace(1e-4, 50, 400)

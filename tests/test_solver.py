@@ -273,11 +273,10 @@ class TestNewtonCG:
         core = _Core(spec, grid, reference_on(spec, grid))
         eta, mu = 0.05, 0.1
         stage = _Stage(core, eta, mu, None, None)
-        assert core.M == 64
         P = np.column_stack([stage.precondition(e) for e in np.eye(grid.n)])
         ws, h = core.ws, grid.h
         dense = dense_compressed_circulant_inverse(
-            ws.diag[16] + (core.c_wells + mu), ws.w, eta / h ** 2, core.M, h,
+            ws.diag[16] + (core.c_wells + mu), ws.w, eta / h ** 2, 64, h,
             grid.n)
         assert np.max(np.abs(P - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert np.max(np.abs(P - P.T)) <= 1e-12 * np.max(np.abs(P))

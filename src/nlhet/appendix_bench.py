@@ -13,10 +13,15 @@ for the fractional-seminorm quadrature:
   psibar(x) = log(1 - log|x|) on (-1, 1), whose L^2 norms scale like
   e^(-3|k|/2) and whose H^(1/2) seminorms like e^(-|k|).
 
-Bump seminorms run on the shared uniform-grid engine (adapted resolution);
-the trace family, singular at a point, uses a log-refined nonuniform grid
-with exact kernel cell masses off the diagonal and the same
-pairing/midpoint treatment next to it.
+Bump seminorms run on the shared uniform-grid engine, on the member's
+support only: the spacing is that of a window of half-width 2 e^(-k) at
+``resolution`` nodes, and the grid keeps the nodes with |x| <= e^(-k).
+That is exact, not a truncation.  The member and its far fields vanish off
+the support, and for a power kernel the cell masses beyond a sub-window
+telescope into its tail moments, so the discrete whole-line form is the
+same on any window that holds the support.  The trace family, singular at
+a point, uses a log-refined nonuniform grid with exact kernel cell masses
+off the diagonal and the same pairing/midpoint treatment next to it.
 """
 
 from __future__ import annotations
@@ -70,8 +75,7 @@ class BumpFamily:
 
     s: float
     centers: str = "integers"   # integers (b_k = k) | reciprocals (b_k = 1/k)
-    resolution: int = 4001      # nodes across the adapted window
-    pad: float = 2.0            # window half-width in support units
+    resolution: int = 4001      # nodes across [-2, 2] support units
 
     def __post_init__(self):
         if not (0.0 < self.s < 0.5):
@@ -96,21 +100,23 @@ class BumpFamily:
 
 
 def _adapted_profile(family: BumpFamily, k: int) -> Profile:
+    """Member k on its support grid: spacing 4 e^(-k) / (resolution - 1),
+    the (resolution - 1) // 4 nodes each side of the center and the center."""
     scale = math.exp(-k)
-    R_loc = family.pad * scale
-    h_loc = 2 * R_loc / (family.resolution - 1)
-    if h_loc < 32 * np.finfo(float).eps * max(1.0, abs(family.center(k))):
+    h = 4 * scale / (family.resolution - 1)
+    if h < 32 * np.finfo(float).eps * max(1.0, abs(family.center(k))):
         raise ResolutionError(
             f"member k={k} support (width ~ {scale:.2e}) is unresolvable at "
             f"this resolution near x = {family.center(k):g}")
-    grid = Grid(R_loc, family.resolution)
+    m = (family.resolution - 1) // 4
+    grid = Grid(m * h, 2 * m + 1)
     vals = family.base(grid.x / scale)  # local coordinates around the center
     return Profile(grid, vals, 0.0, 0.0)
 
 
 def bump_norms(family: BumpFamily, k: int) -> Tuple[float, float]:
     """Numerical (L^2 norm, H^s Gagliardo seminorm) of member k on its
-    adapted grid; raises ResolutionError when the support is unresolvable."""
+    support grid; raises ResolutionError when the support is unresolvable."""
     prof = _adapted_profile(family, k)
     h = prof.grid.h
     tw = np.full(prof.grid.n, h)

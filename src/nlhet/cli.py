@@ -6,8 +6,8 @@ value out of range, a non-finite profile value), 3 environment
 error (I/O, a lock held by a live or foreign run).  Outputs are deterministic
 for identical configs; the manifest is written last via atomic rename, and
 ``solve --resume`` continues from checkpoint.json to the same bytes as an
-uninterrupted run.  NLHET_THREADS sets the bench-appendix worker count
-(default: the CPUs the process may run on, at most 4).  Config digests and
+uninterrupted run.  nlhet starts no thread of its own: ``bench-appendix``
+computes its members one after another, in input order.  Config digests and
 model hashes are SHA-256, computed without loading OpenSSL.
 """
 
@@ -41,17 +41,6 @@ gc.freeze()
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_ENV = 0, 1, 2, 3
 _FMT = "%.17g"
-
-
-def _thread_cap() -> int:
-    """NLHET_THREADS; unset or invalid, the CPUs this process may run on,
-    at most 4 (more workers than CPUs add memory and no speed)."""
-    try:
-        return max(1, int(os.environ["NLHET_THREADS"]))
-    except (KeyError, ValueError):
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        return min(4, cpus)
 
 
 # --------------------------------------------------------------------------
@@ -491,11 +480,8 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
 
 
 def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
-    """Bump members for every s and the trace members, all in one pool of
-    ``_thread_cap()`` workers; results are gathered in input order, so the
-    outputs do not depend on the thread count."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Bump members for every s, then the trace members, one at a time; the
+    first failure in input order ends the run."""
     b = cfg.bench
     os.makedirs(outdir, exist_ok=True)
     outputs = []
@@ -507,16 +493,8 @@ def cmd_bench_appendix(cfg: RunConfig, outdir: str) -> int:
         ks = list(range(0, b["kmax"] + 1))
         tex = ab.TraceExample()
         tks = list(range(1, b["trace_kmax"] + 1))
-        jobs = ([(ab.bump_norms, fam, k) for fam in fams for k in ks]
-                + [(ab.trace_norms, tex, k) for k in tks])
-        with ThreadPoolExecutor(max_workers=_thread_cap()) as ex:
-            futures = [ex.submit(fn, member, k) for fn, member, k in jobs]
-            try:
-                norms = [fut.result() for fut in futures]
-            except Exception:
-                # the first failure in input order is reported; drop the queue
-                ex.shutdown(cancel_futures=True)
-                raise
+        norms = ([ab.bump_norms(fam, k) for fam in fams for k in ks]
+                 + [ab.trace_norms(tex, k) for k in tks])
         for i, s in enumerate(b["s_values"]):
             rows = _ratio_rows(ks, norms[i * len(ks):(i + 1) * len(ks)])
             path = os.path.join(outdir, f"bump_s{s:g}.csv")

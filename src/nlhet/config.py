@@ -3,8 +3,9 @@
 One file drives a run; the resolved content is hashed so identical configs
 produce identical outputs.  A section or key that the parser does not read
 is rejected, so a misspelt name cannot fall back to its default silently.
-Sequences are comma-separated.  Obstacle endpoints default to the
-modulation's window centers m1/m2 when omitted.
+Option names are case-sensitive: ``theta0`` and ``Theta0`` are two keys,
+and a miscased name is unknown.  Sequences are comma-separated.  Obstacle
+endpoints default to the modulation's window centers m1/m2 when omitted.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def _floats(text: str) -> Tuple[float, ...]:
 
 def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.optionxform = str
     try:
         with open(path, "r") as fh:
             cp.read_file(fh, source=path)
@@ -72,7 +74,7 @@ def parse_config(path: str) -> RunConfig:
     read = set()  # (section, key): every key the parser knows
 
     def get(sec, key, cast=float, default=None):
-        read.add((sec, cp.optionxform(key)))
+        read.add((sec, key))
         if not cp.has_option(sec, key):
             return default
         raw = cp.get(sec, key)
@@ -175,7 +177,14 @@ def parse_config(path: str) -> RunConfig:
     if unknown:
         raise ConfigError("unknown section or key: " + ", ".join(unknown))
 
-    raw = {s: dict(cp.items(s)) for s in cp.sections()}
+    # the digest names keys in lowercase, as earlier digests did; a key
+    # that would then read as another known key (Theta0) keeps its case
+    def digest_name(sec, key):
+        low = key.lower()
+        return key if low != key and (sec, low) in read else low
+
+    raw = {s: {digest_name(s, k): v for k, v in cp.items(s)}
+           for s in cp.sections()}
     digest = config_digest(raw)
     return RunConfig(spec, grid, obstacles, schedule, solver, limit_tol,
                      report, diagnostics, bench, digest, raw)

@@ -6,9 +6,10 @@ intervals, a plain double-midpoint sum for the Gagliardo forms, the
 full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
 solve of the barrier problem, exactly rounded Toeplitz row sums and
 quadratic forms, power kernel cell masses as a difference of two powers,
-the compressed inverse of a Strang circulant by dense inversion, and the
+the compressed inverse of a Strang circulant by dense inversion, the
 perturbed functional through the windowed bilinear form instead of the
-solver's stage evaluation.
+solver's stage evaluation, and bump-member norms on a full window twice
+the support's width instead of the support grid.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from nlhet.discretize import Interval, Profile, WHOLE_LINE, bilinear_form
+from nlhet.discretize import Grid, Interval, Profile, WHOLE_LINE, bilinear_form
 from nlhet.model import ProblemSpec, potential_eval_grad
 from nlhet.solver import EnergyBreakdown
 
@@ -132,6 +133,21 @@ def dense_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
     ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)
                        * (1.0 / (edges[-1] - mids) + 1.0 / (mids - edges[0])))
     return math.sqrt(max(total + float(ext), 0.0))
+
+
+def full_window_bump_norms(family, k: int) -> Tuple[float, float]:
+    """(L^2 norm, H^s seminorm) of bump member k on the window of half-width
+    2 e^(-k) at ``family.resolution`` nodes: the support and as much zero
+    field again, with the trapezoid rule and the whole-line form."""
+    from nlhet.appendix_bench import _GagliardoKernel
+    scale = math.exp(-k)
+    grid = Grid(2 * scale, family.resolution)
+    prof = Profile(grid, family.base(grid.x / scale), 0.0, 0.0)
+    l2 = math.sqrt(float(np.sum(prof.values ** 2
+                                * _trapezoid_weights(grid.n, grid.h))))
+    hs2 = bilinear_form(prof, prof, WHOLE_LINE, WHOLE_LINE,
+                        _GagliardoKernel(family.s))
+    return l2, math.sqrt(max(hs2, 0.0))
 
 
 def dense_barrier(ws, band: np.ndarray, gl: float, gr: float, rhs: float,

@@ -8,13 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nlhet import solver
-from nlhet.cli import (_layer_match, _Lock, _thread_cap, main, read_profile_csv,
+from nlhet.cli import (_layer_match, _Lock, main, read_profile_csv,
                        write_obstacles_csv, write_profile_csv,
                        write_tail_csv, write_trace_csv)
 from nlhet.discretize import Grid, Profile
@@ -153,12 +154,29 @@ class TestVerifyModel:
         ("[solvr]\n", "[solvr]"),
         ("[solver]\ngrad_tool = 1e-3\n", "[solver] grad_tool"),
         ("[grid]\nR = 30.0\nwidth = 3\n", "[grid] width"),
+        # option names are case-sensitive: a miscased name is unknown
+        ("[grid]\nr = 30.0\n", "[grid] r"),
+        ("[solver]\nMax_iters = 10\n", "[solver] Max_iters"),
     ])
     def test_unknown_section_or_key_usage_error(self, tmp_path, capsys, text,
                                                 named):
         cfg = _write(tmp_path, "m.ini", CONFIG_FOOTNOTE + "\n" + text)
         assert main(["verify-model", cfg]) == 2
         assert named in capsys.readouterr().err
+
+    def test_kernel_bounds_are_two_keys(self, tmp_path):
+        # theta0 and Theta0 differ only in case; each sets its own bound
+        from nlhet.config import parse_config
+        one = parse_config(_write(tmp_path, "one.ini",
+                                  "[kernel]\ns = 0.5\ntheta0 = 0.2\n"))
+        assert one.spec.kernel.theta0 == 0.2
+        assert one.spec.kernel.Theta0 == one.spec.kernel.c
+        both = parse_config(_write(tmp_path, "both.ini",
+                                   "[kernel]\ns = 0.5\ntheta0 = 0.2\n"
+                                   "Theta0 = 0.5\n"))
+        assert (both.spec.kernel.theta0, both.spec.kernel.Theta0) == (0.2, 0.5)
+        assert both.raw["kernel"] == {"s": "0.5", "theta0": "0.2",
+                                      "Theta0": "0.5"}
 
     def test_powerlaw_alias_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, "m.ini", "[kernel]\nform = powerlaw\n")
@@ -779,35 +797,22 @@ class TestBench:
                      "[bench]\ns_values = 0.3\nkmax = 40\nresolution = 2001\n")
         assert main(["bench-appendix", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
+    def test_starts_no_thread_and_ignores_thread_env(self, tmp_path,
+                                                      monkeypatch):
+        # the members run one after another in this thread, whatever
+        # NLHET_THREADS says
+        def refuse(self):
+            raise AssertionError("bench-appendix started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = _write(tmp_path, "b.ini",
                      "[bench]\ns_values = 0.3, 0.4\nkmax = 4\n"
                      "resolution = 2001\ntrace_kmax = 3\n")
         names = ["bump_s0.3.csv", "bump_s0.4.csv", "trace.csv"]
         outs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "4"):
             monkeypatch.setenv("NLHET_THREADS", threads)
             out = tmp_path / f"t{threads}"
             assert main(["bench-appendix", cfg, "--out", str(out)]) == 0
             outs.append([(out / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
-
-    def test_thread_cap_env_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLHET_THREADS", "1")
-        cfg = _write(tmp_path, "b.ini",
-                     "[bench]\ns_values = 0.3\nkmax = 3\nresolution = 2001\n"
-                     "trace_kmax = 2\n")
-        assert main(["bench-appendix", cfg, "--out", str(tmp_path / "t")]) == 0
-        monkeypatch.setenv("NLHET_THREADS", "not-a-number")
-        assert _thread_cap() == min(4, len(os.sched_getaffinity(0)))
-
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (8, 4)])
-    def test_default_thread_cap_is_affinity_capped_at_4(self, monkeypatch,
-                                                        cpus, workers):
-        # more workers than CPUs cost memory (bench/appendix.ini on 2 CPUs:
-        # measured 48.0-49.1 MB peak for 4 workers, 40.4-40.7 MB for 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.delenv("NLHET_THREADS", raising=False)
-        assert _thread_cap() == workers
-        monkeypatch.setenv("NLHET_THREADS", "")
-        assert _thread_cap() == workers

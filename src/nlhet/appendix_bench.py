@@ -27,11 +27,11 @@ off the diagonal and the same pairing/midpoint treatment next to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ._record import record
 from .discretize import Grid, Profile, WHOLE_LINE, bilinear_form
 
 __all__ = [
@@ -59,7 +59,7 @@ class ResolutionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _GagliardoKernel:
     """Plain Gagliardo weight |r|^(-1-2s); duck-typed stand-in for KernelSpec."""
 
@@ -69,7 +69,7 @@ class _GagliardoKernel:
     r0: float = 1.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BumpFamily:
     """Smooth template (1 - x^2)^4 on [-1, 1] scaled to width ~ e^(-k)."""
 
@@ -132,7 +132,7 @@ def bump_norms(family: BumpFamily, k: int) -> Tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceExample:
     """psibar(x) = log(1 - log|x|) inside (-1, 1), 0 outside."""
 

@@ -93,7 +93,8 @@ def read_profile_csv(path: str):
             and np.isfinite(ref).all()):
         raise ValueError("profile CSV holds a non-finite x, Q or Qsharp value")
     grid = Grid(R=float(abs(x[0])), n=x.size)
-    if not np.allclose(grid.x, x, atol=1e-9):
+    # rtol=0: solve writes x with %.17g, which reads back exactly
+    if not np.allclose(grid.x, x, rtol=0.0, atol=1e-9):
         raise ValueError("profile CSV nodes are not a symmetric uniform grid")
     lc, rc = float(ref[0]), float(ref[-1])
     return Profile(grid, q, lc, rc), Profile(grid, ref, lc, rc)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import record
 from .discretize import Grid
 from .model import KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec
 from .obstacles import ObstacleConfig
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
+@record
 class RunConfig:
     spec: ProblemSpec
     grid: Grid
@@ -79,8 +79,8 @@ def parse_config(path: str) -> RunConfig:
             return default
         raw = cp.get(sec, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+            if cast is bool:  # 1/yes/true/on or 0/no/false/off, any case
+                return cp.getboolean(sec, key)
             return cast(raw)
         except ValueError as e:
             raise ConfigError(f"[{sec}] {key} = {raw!r}: {e}") from e

@@ -11,11 +11,11 @@ All diagnostics are pure read-only passes over immutable profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import record
 from .discretize import (Interval, Profile, operator_field, reference_profile,
                          second_difference, seminorm_K, workspace_for)
 from .model import ProblemSpec, potential_eval_grad
@@ -51,7 +51,7 @@ class DegenerateFitError(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CleanInterval:
     lo: float
     hi: float
@@ -63,7 +63,7 @@ class CleanInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass
+@record
 class CleanIntervalReport:
     rho: float
     intervals: List[CleanInterval]
@@ -145,7 +145,7 @@ def is_clean_point(Q: Profile, x0: float, rho: float, well: float) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class StickinessReport:
     x1: float
     x2: float
@@ -203,7 +203,7 @@ def stickiness_check(Q: Profile, x1: float, x2: float, spec: ProblemSpec,
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class LSReport:
     interval: Tuple[float, float]
     lower: float
@@ -286,7 +286,7 @@ def holder_estimate(Q: Profile, interval: Interval, alpha: float) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class TailFit:
     side: str
     fitted_exponent: float

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ._record import record
 from .model import (KernelSpec, ProblemSpec, kernel_eval, potential_eval_grad,
                     reference_profile_eval)
 
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Grid:
     """Uniform symmetric grid: n odd nodes x_i = -R + i*h, h = 2R/(n-1)."""
 
@@ -89,7 +89,7 @@ class Grid:
         return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-@dataclass
+@record
 class Profile:
     """Sampled function with exact constant far fields.
 

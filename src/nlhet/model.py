@@ -13,11 +13,12 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "KernelSpec",
@@ -52,7 +53,7 @@ def natural_halfspace_constant(s: float) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KernelSpec:
     """Even interaction kernel with ellipticity sandwich.
 
@@ -134,7 +135,7 @@ def kernel_eval(spec: KernelSpec, r) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PotentialSpec:
     """Two-well potential, canonical form: W >= 0, W(zeta1) = W(zeta2) = 0.
 
@@ -200,7 +201,9 @@ class PotentialSpec:
         for z in (self.zeta1, self.zeta2):
             for sgn in (+1, -1):
                 W, _ = potential_eval_grad(
-                    replace(self, c0=1.0, C0_growth=1.0), z + sgn * xi)
+                    PotentialSpec(self.zeta1, self.zeta2, self.form, self.amplitude,
+                                  self.delta0, 1.0, 1.0, self.table_u, self.table_W),
+                    z + sgn * xi)
                 ratios.append(W / xi ** 2)
         ratios = np.concatenate(ratios)
         return float(ratios.min()), float(ratios.max())
@@ -269,7 +272,7 @@ def potential_hess(spec: PotentialSpec, u) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModulationSpec:
     """Oscillatory modulation a(x) with range bounds and non-degeneracy data.
 
@@ -342,7 +345,7 @@ def _quintic_smoothstep(t: np.ndarray) -> np.ndarray:
     return ((6.0 * t - 15.0) * t + 10.0) * t ** 3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReferenceProfile:
     """Fixed smooth ramp: zeta1 for x <= -1, zeta2 for x >= 1.
 
@@ -380,13 +383,13 @@ def reference_profile_eval(ref: ReferenceProfile, x) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProblemSpec:
     """The full model: kernel K, potential W, modulation a, reference ramp."""
 
     kernel: KernelSpec
     potential: PotentialSpec
-    modulation: ModulationSpec = field(default_factory=ModulationSpec)
+    modulation: ModulationSpec = ModulationSpec()  # immutable, so one shared default
     reference: Optional[ReferenceProfile] = None
 
     def __post_init__(self):
@@ -416,7 +419,7 @@ class ProblemSpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -425,7 +428,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass
+@record
 class ValidationReport:
     checks: list
 

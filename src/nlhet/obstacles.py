@@ -29,11 +29,11 @@ between b1 and b2) uses those faithful barriers.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ._record import record
 from .discretize import (Grid, Profile, operator_field, strang_circulant,
                          toeplitz_circulant, workspace_for)
 from .model import ProblemSpec
@@ -62,7 +62,7 @@ class EnvelopeClauseError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObstacleConfig:
     """Barrier geometry: window [b1, b2], collar width tau, offset r."""
 
@@ -85,7 +85,7 @@ class ObstacleConfig:
         return r
 
 
-@dataclass
+@record
 class ObstaclePair:
     """Calibrated barriers and their smooth envelopes, sampled on the grid.
 

@@ -34,11 +34,11 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._record import record
 from .discretize import (Grid, Profile, operator_field, operator_linear,
                          reference_profile, strang_circulant, workspace_for)
 from .model import (ProblemSpec, potential_eval_grad, potential_hess,
@@ -93,7 +93,7 @@ class NonConvergenceError(SolverError):
         self.samples = samples
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolverConfig:
     max_iters: int = 200000
     grad_tol: Optional[float] = None       # default 1e-8 * n, resolved per grid
@@ -109,7 +109,7 @@ class SolverConfig:
         return self.grad_tol if self.grad_tol is not None else 1e-8 * n
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContinuationSchedule:
     """Decreasing eta and mu sequences.  The trailing 0 of each is implied:
     every mu runs the etas down to 0, and the run always ends with the
@@ -140,7 +140,7 @@ class ContinuationSchedule:
         return tuple(v for v in self.mu_seq if v > 0.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnergyBreakdown:
     """The four pieces of the (eta, mu) functional (``_Stage.trial``)."""
 
@@ -154,7 +154,7 @@ class EnergyBreakdown:
         return self.viscous + self.penalty + self.potential + self.interaction
 
 
-@dataclass
+@record
 class StageRecord:
     mu: float
     eta: float
@@ -166,7 +166,7 @@ class StageRecord:
     cg: int  # CG iterations (Hessian-vector products)
 
 
-@dataclass
+@record
 class SolveResult:
     profile: Profile
     breakdown: EnergyBreakdown
@@ -174,11 +174,15 @@ class SolveResult:
     contact: List[Tuple[int, float, str]]
     trace: List[Tuple]
     pair: Optional[ObstaclePair] = None  # the pair the contact report used
-    stages: List[StageRecord] = field(default_factory=list)
+    stages: Optional[List[StageRecord]] = None  # None: a new empty list
     stationarity: float = 0.0
     iterations: int = 0
     limit_check: Optional[dict] = None
     monotone: Optional[bool] = None
+
+    def __post_init__(self):
+        if self.stages is None:
+            self.stages = []
 
 
 # --------------------------------------------------------------------------

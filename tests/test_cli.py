@@ -164,6 +164,23 @@ class TestVerifyModel:
         assert main(["verify-model", cfg]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ["ture", "2", "enabled", "y"])
+    def test_misspelt_boolean_usage_error(self, tmp_path, capsys, word):
+        # every word but 1/true/yes/on used to read as false, silently
+        cfg = _write(tmp_path, "m.ini", CONFIG_FOOTNOTE
+                     + f"\n[report]\nlayer_match = {word}\n")
+        assert main(["verify-model", cfg]) == 2
+        assert "layer_match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("yes", True), ("TRUE", True), ("On", True),
+        ("0", False), ("no", False), ("False", False), ("OFF", False)])
+    def test_boolean_words(self, tmp_path, word, value):
+        from nlhet.config import parse_config
+        cfg = parse_config(_write(tmp_path, "m.ini", CONFIG_FOOTNOTE
+                                  + f"\n[report]\nlayer_match = {word}\n"))
+        assert cfg.report["layer_match"] is value
+
     def test_kernel_bounds_are_two_keys(self, tmp_path):
         # theta0 and Theta0 differ only in case; each sets its own bound
         from nlhet.config import parse_config
@@ -199,18 +216,32 @@ class TestVerifyModel:
 def test_import_is_light_and_complete():
     # importing the CLI loads every module of the package (traced benchmark
     # runs wrap them right after this import) but neither the socket stack,
-    # nor OpenSSL (3.4 MB of RSS), nor the thread pool, and freezes the
-    # import-time objects out of the garbage collector
+    # nor OpenSSL (3.4 MB of RSS), nor the thread pool, nor dataclasses (one
+    # exec per generated method), and freezes the import-time objects out of
+    # the garbage collector; the package body (numpy and the core modules)
+    # runs with no collection pass and leaves the collector on, so the only
+    # pass comes after it, as the import returns
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    code = ("import gc, json, sys, nlhet.cli; print(json.dumps("
-            "[sorted(sys.modules), gc.get_freeze_count()]))")
+    code = ("import gc, json, sys\n"
+            "def in_body():  # the package body ends by setting __all__\n"
+            "    pkg = sys.modules.get('nlhet')\n"
+            "    return pkg is not None and not hasattr(pkg, '__all__')\n"
+            "passes = []\n"
+            "gc.callbacks.append(lambda phase, info: passes.append(in_body()))\n"
+            "import nlhet\n"
+            "during, enabled = passes.count(True), gc.isenabled()\n"
+            "import nlhet.cli\n"
+            "print(json.dumps([sorted(sys.modules), gc.get_freeze_count(),\n"
+            "                  during, enabled]))\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
-    loaded, frozen = json.loads(run.stdout)
+    loaded, frozen, during, enabled = json.loads(run.stdout)
     assert "socket" not in loaded
     assert "_hashlib" not in loaded and "ssl" not in loaded
     assert "concurrent.futures" not in loaded
+    assert "dataclasses" not in loaded
+    assert during == 0 and enabled
     package = {f"nlhet.{name[:-3]}" for name in os.listdir(os.path.join(src, "nlhet"))
                if name.endswith(".py") and name not in ("__init__.py", "__main__.py")}
     assert package <= set(loaded)
@@ -751,6 +782,22 @@ class TestDiagnose:
             capsys, ["diagnose", bad, cfg, "--checks", "clean,tail,holder",
                      "--out", str(tmp_path / "d5")], 2)
         assert "non-finite" in err
+
+    def test_off_grid_node_exit2(self, solved, tmp_path, capsys):
+        # a node 4e-4 (0.8% of h) off x = 50 used to pass the grid check,
+        # whose default relative tolerance allows 1e-5 |x|
+        code, tmp, cfg, out = solved
+        lines = (out / "profile.csv").read_text().splitlines()
+        row = next(k for k, line in enumerate(lines[1:], 1)
+                   if float(line.split(",")[0]) == 50.0)
+        fields = lines[row].split(",")
+        fields[0] = repr(50.0 + 4e-4)
+        lines[row] = ",".join(fields)
+        bad = _write(tmp_path, "off_grid.csv", "\n".join(lines) + "\n")
+        err = self._one_line_exit(
+            capsys, ["diagnose", bad, cfg, "--checks", "clean",
+                     "--out", str(tmp_path / "d6")], 2)
+        assert "uniform grid" in err
 
     @pytest.mark.parametrize("key, value, checks", [
         ("rho", "-1", "clean"),

@@ -32,7 +32,10 @@ def _index():
     scopes: Dict[str, Dict[str, tuple]] = {}
     for mod, tree in trees.items():
         scope = scopes[mod] = {}
-        for node in tree.body:
+        # a top-level ``try`` runs on import too (``nlhet/__init__`` imports
+        # its API inside one)
+        for node in [sub for stmt in tree.body
+                     for sub in (stmt.body if isinstance(stmt, ast.Try) else [stmt])]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(mod, node.name)] = node
                 scope[node.name] = ("def", (mod, node.name))

@@ -24,7 +24,7 @@ try:
     from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
                             build_envelopes, solve_barrier)
     from .solver import (ContinuationSchedule, EnergyBreakdown, SolveResult,
-                         SolverConfig, continuation_run, minimize_constrained)
+                         SolverConfig, continuation_run)
 finally:
     if _collecting:
         gc.enable()
@@ -39,6 +39,6 @@ __all__ = [
     "ObstacleConfig", "ObstaclePair", "barrier_pair", "build_envelopes",
     "solve_barrier",
     "ContinuationSchedule", "EnergyBreakdown", "SolveResult", "SolverConfig",
-    "continuation_run", "minimize_constrained",
+    "continuation_run",
     "__version__",
 ]

@@ -387,8 +387,15 @@ def cmd_solve(cfg: RunConfig, outdir: str, resume: bool) -> int:
     return EXIT_OK
 
 
+DIAGNOSE_CHECKS = ("clean", "lewy-stampacchia", "stickiness", "holder", "tail")
+
+
 def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                  outdir: str) -> int:
+    unknown = [c for c in checks if c not in DIAGNOSE_CHECKS]
+    if unknown:
+        print(f"unknown check {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         Q, ref = read_profile_csv(profile_path)
     except ValueError as e:
@@ -454,9 +461,6 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                     csvp = os.path.join(outdir, f"tail_{side}.csv")
                     write_tail_csv(csvp, Q, side)
                     outputs.append(csvp)
-            else:
-                print(f"unknown check {check!r}", file=sys.stderr)
-                return EXIT_USAGE
     except dg.PreconditionError as e:
         print(f"precondition error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -81,9 +81,13 @@ def parse_config(path: str) -> RunConfig:
         try:
             if cast is bool:  # 1/yes/true/on or 0/no/false/off, any case
                 return cp.getboolean(sec, key)
-            return cast(raw)
+            value = cast(raw)
         except ValueError as e:
             raise ConfigError(f"[{sec}] {key} = {raw!r}: {e}") from e
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"[{sec}] {key} = {raw!r}: not a finite number")
+        return value
 
     try:
         kernel = KernelSpec(

@@ -296,7 +296,8 @@ class TailFit:
 
 def fit_tail_decay(Q: Profile, side: str) -> TailFit:
     """Least-squares fit of log|Q - far field| against log|x| on the outer
-    quarter of the window, excluding the last 5 nodes."""
+    quarter of the window, excluding the last 5 nodes.  Raises
+    DegenerateFitError when fewer than 3 nonzero deviations remain."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     x = Q.x
@@ -314,6 +315,10 @@ def fit_tail_decay(Q: Profile, side: str) -> TailFit:
     if float(dev.max()) < 1e-13:
         raise DegenerateFitError("far-field deviation below 1e-13: nothing to fit")
     live = dev > 0
+    n_live = int(np.count_nonzero(live))
+    if n_live < 3:  # two points fit any line exactly, with r_squared 1
+        raise DegenerateFitError(
+            f"{n_live} nonzero far-field deviations: a fit needs at least 3")
     lx, ly = np.log(xx[live]), np.log(dev[live])
     A = np.vstack([lx, np.ones_like(lx)]).T
     (slope, icpt), res, _, _ = np.linalg.lstsq(A, ly, rcond=None)

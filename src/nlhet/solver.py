@@ -18,9 +18,12 @@ bounded by grad_tol / h at convergence.
 
 The continuation runs one list of (mu, eta) stages with warm starts: every
 eta down to 0 for each positive penalty weight mu, then always an
-unpenalized polish (mu = eta = 0, well clamp only).  Every stage shares one
-``_Core`` with the pieces that depend only on (spec, grid, reference), and
-each obstacle pair is built once per viscosity.  The problem is solved
+unpenalized polish (mu = eta = 0, well clamp only).  ``continuation_run``
+is the one public entry point, and every stage, the polish included, runs
+through ``_run_stage``.  Every stage shares one ``_Core`` with the pieces
+that depend only on (spec, grid, reference), and each obstacle pair is
+built once per viscosity; a stage reads its constrained region x <= b1,
+x >= b2 from the configuration of its pair.  The problem is solved
 in the orientation it is given in: the left far field is zeta1 and the right
 one zeta2, whichever well is the larger.  The completed stages and their
 trace rows are all that a resumed run needs to continue exactly.  The
@@ -55,7 +58,6 @@ __all__ = [
     "StagnationError",
     "NonFiniteEnergyError",
     "NonConvergenceError",
-    "minimize_constrained",
     "continuation_run",
     "default_limit_tol",
 ]
@@ -65,6 +67,7 @@ log = logging.getLogger("nlhet")
 MU_GUARD = 0.1  # heuristic cap on the first penalty weight (warned, not enforced)
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo rule
 ARMIJO_SHRINK = 0.5  # step factor per backtrack
+MAX_BACKTRACKS = 60  # cap of the trial steps per iteration
 ACTIVE_EPS = 1e-3  # cap of the distance to a bound that can fix a node
 CG_MAX_ITERS = 200  # cap of the CG iterations per Newton direction
 
@@ -88,16 +91,13 @@ class NonFiniteEnergyError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    def __init__(self, msg, samples):
-        super().__init__(msg)
-        self.samples = samples
+    pass
 
 
 @record(frozen=True)
 class SolverConfig:
     max_iters: int = 200000
     grad_tol: Optional[float] = None       # default 1e-8 * n, resolved per grid
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -126,8 +126,6 @@ class ContinuationSchedule:
                 raise ValueError(f"{name} entries must be >= 0")
             if any(b >= a for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"{name} must be strictly decreasing")
-            if 0.0 in seq and seq[-1] != 0.0:
-                raise ValueError(f"a zero in {name} must be its last entry")
         if self.mu_seq[0] > MU_GUARD:
             log.warning("first penalty weight mu=%g exceeds the %g guard; "
                         "the contact report is the operative certificate",
@@ -168,21 +166,18 @@ class StageRecord:
 
 @record
 class SolveResult:
+    """A certified continuation run (``continuation_run``)."""
+
     profile: Profile
-    breakdown: EnergyBreakdown
-    residual_max: float
+    breakdown: EnergyBreakdown  # of the (0, 0) functional
+    residual_max: float  # of the (0, 0) Euler-Lagrange field
     contact: List[Tuple[int, float, str]]
     trace: List[Tuple]
-    pair: Optional[ObstaclePair] = None  # the pair the contact report used
-    stages: Optional[List[StageRecord]] = None  # None: a new empty list
-    stationarity: float = 0.0
-    iterations: int = 0
-    limit_check: Optional[dict] = None
-    monotone: Optional[bool] = None
-
-    def __post_init__(self):
-        if self.stages is None:
-            self.stages = []
+    pair: ObstaclePair  # the eta = 0 pair that the contact report used
+    stages: List[StageRecord]
+    iterations: int
+    limit_check: dict
+    monotone: bool
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +214,7 @@ class _Stage:
     """One (eta, mu) subproblem on a shared ``_Core``."""
 
     def __init__(self, core: _Core, eta: float, mu: float,
-                 pair: Optional[ObstaclePair], cfg: Optional[ObstacleConfig]):
+                 pair: Optional[ObstaclePair]):
         self.core = core
         self.spec, self.grid, self.ref = core.spec, core.grid, core.ref
         ws, h = core.ws, core.h
@@ -235,10 +230,10 @@ class _Stage:
         pot = self.spec.potential
         self.lob = np.full(n, pot.well_lo)
         self.upb = np.full(n, pot.well_hi)
-        self.pair, self.cfg = pair, cfg
+        self.pair = pair
         if pair is not None:
             x = self.grid.x
-            region = (x <= cfg.b1) | (x >= cfg.b2)
+            region = (x <= pair.cfg.b1) | (x >= pair.cfg.b2)
             self.lob[region] = np.maximum(self.lob[region], pair.Psi.values[region])
             self.upb[region] = np.minimum(self.upb[region], pair.Phi.values[region])
             if np.any(self.lob > self.upb):
@@ -326,13 +321,13 @@ class _Stage:
         return np.clip(q, self.lob, self.upb)
 
 
-def _contact_nodes(q: np.ndarray, pair: Optional[ObstaclePair], grid: Grid,
+def _contact_nodes(q: np.ndarray, pair: Optional[ObstaclePair],
                    tol: float = 1e-11) -> List[Tuple[int, float, str]]:
     if pair is None:
         return []
     out = []
     scale = max(1.0, float(np.abs(pair.Phi.values).max()))
-    x = grid.x
+    x = pair.Phi.x
     upper = np.abs(q - pair.Phi.values) <= tol * scale
     lower = np.abs(q - pair.Psi.values) <= tol * scale
     for i in np.where(upper)[0]:
@@ -379,23 +374,27 @@ def _newton_direction(stage: _Stage, q: np.ndarray, g: np.ndarray,
     return np.where(free, d, -g), k
 
 
-def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
-                    trace: List[Tuple]) -> Tuple[np.ndarray, Tuple, int, float]:
-    """Projected Newton-CG from q0; returns (q, energy pieces, iterations,
-    stationarity).  Each trial point is evaluated once, and the accepted
-    trial's convolution and W' give the next iterate's gradient.  CG
-    iterations add up in ``stage.cg``.  Trace rows are numbered on from the
-    rows ``trace`` already holds."""
-    cfg = solver_cfg
+def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
+               trace: List[Tuple]) -> Tuple[np.ndarray, List, StageRecord]:
+    """Minimize one stage by projected Newton-CG from q0, report contact
+    with the stage's obstacle pair and check the barrier comparison;
+    returns (q, contact, record).
+
+    Each trial point is evaluated once, and the accepted trial's
+    convolution and W' give the next iterate's gradient.  CG iterations add
+    up in ``stage.cg``.  Trace rows are numbered on from the rows ``trace``
+    already holds.
+    """
+    t0 = time.perf_counter()
     iter_offset = len(trace)
-    gtol = cfg.resolve_grad_tol(stage.grid.n)
+    gtol = solver_cfg.resolve_grad_tol(stage.grid.n)
     q = stage.project(q0.copy())
     q[0], q[-1] = q0[0], q0[-1]
     pieces, g = stage.evaluate(q)
     E = sum(pieces)
     rn = math.inf
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, solver_cfg.max_iters + 1):
         r = q - stage.project(q - g)
         rn = float(np.linalg.norm(r))
         trace.append((iter_offset + it - 1, *pieces, sum(pieces), rn))
@@ -409,7 +408,7 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
         stage.cg += cg
         alpha = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             qt = stage.project(q + alpha * d)
             qt[0], qt[-1] = q[0], q[-1]
             if not np.any(qt != q):
@@ -428,17 +427,7 @@ def _minimize_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                 f"(iteration {it}, stationarity {rn:.3e}, step {alpha:.3e})",
                 it, rn, alpha)
         q, E, pieces, g = qt, Et, pt, stage.gradient(qt, parts)
-    return q, pieces, it, rn
-
-
-def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
-               trace: List[Tuple]) -> Tuple[np.ndarray, Tuple, List, StageRecord]:
-    """Minimize one stage from q0, report contact with the stage's obstacle
-    pair and check the barrier comparison; returns (q, energy pieces,
-    contact, record)."""
-    t0 = time.perf_counter()
-    q, pieces, it, rn = _minimize_stage(stage, q0, solver_cfg, trace)
-    contact = _contact_nodes(q, stage.pair, stage.grid)
+    contact = _contact_nodes(q, stage.pair)
     if stage.pair is not None:
         _assert_barrier_comparison(q, stage.pair)
     record = StageRecord(stage.mu, stage.eta, it, sum(pieces), rn, len(contact),
@@ -446,42 +435,7 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     log.info("stage mu=%g eta=%g: %d iterations, %d trials, %d cg, "
              "%d contact, %.3f s", stage.mu, stage.eta, it, stage.trials,
              stage.cg, len(contact), time.perf_counter() - t0)
-    return q, pieces, contact, record
-
-
-def minimize_constrained(Q0: Profile, spec: ProblemSpec,
-                         pair: Optional[ObstaclePair],
-                         cfg: Optional[ObstacleConfig],
-                         eta: float, mu: float,
-                         solver_cfg: Optional[SolverConfig] = None,
-                         ref: Optional[Profile] = None) -> SolveResult:
-    """Projected Newton-CG minimization of the (eta, mu) functional.
-
-    The iterate is clamped into the well sandwich and, when an obstacle pair
-    is given, into [Psi, Phi] on the constrained region.  Accepted steps
-    decrease the energy strictly; termination is by stationarity or
-    max_iters.  After convergence the iterate is verified to stay below the
-    faithful upper barrier (and above the lower one) between b1 and b2.
-    """
-    grid = Q0.grid
-    if ref is None:
-        ref = reference_profile(spec, grid)
-    stage = _Stage(_Core(spec, grid, ref), eta, mu, pair, cfg)
-    trace: List[Tuple] = []
-    q, pieces, contact, record = _run_stage(stage, Q0.values,
-                                            solver_cfg or SolverConfig(), trace)
-    return SolveResult(profile=Profile(grid, q, Q0.left_const, Q0.right_const),
-                       breakdown=EnergyBreakdown(*pieces),
-                       residual_max=_residual_max(stage.gradient(q), stage.h),
-                       contact=contact, trace=trace, pair=pair, stages=[record],
-                       stationarity=record.stationarity,
-                       iterations=record.iterations)
-
-
-def _residual_max(g: np.ndarray, h: float) -> float:
-    """max |field| from a stage gradient g = h * field, excluding the two
-    outermost interior nodes per side (lopsided quadrature there)."""
-    return float(np.abs(g[2:-2] / h).max())
+    return q, contact, record
 
 
 def _assert_barrier_comparison(q: np.ndarray, pair: ObstaclePair,
@@ -530,9 +484,12 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     """Full double continuation ending in a residual-certified heteroclinic.
 
     The stages are every (mu, eta) of ``schedule`` with mu > 0, then the
-    (0, 0) polish.  Everything, the resume input, the callback's values and
+    (0, 0) polish, each run by ``_run_stage`` on one shared ``_Core``.  The
+    result is the only ``SolveResult`` producer: its energy breakdown and
+    residual belong to the unperturbed (0, 0) problem, evaluated once after
+    the last stage.  Everything, the resume input, the callback's values and
     the result, is in the caller's orientation (left far field zeta1).
-    Raises NonConvergenceError (with the offending tail samples) when the
+    Raises NonConvergenceError, naming each side's deviation, when the
     far-field limit check fails on the final profile.  After each stage
     ``stage_callback`` receives new (stage records, trace rows, Q values);
     ``resume`` = any such triple runs the remaining stages like a fresh run.
@@ -566,27 +523,25 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     core = _Core(spec, grid, ref)
     for mu, eta in todo:
         pair = pairs[eta] if mu > 0 else None
-        stage = _Stage(core, eta, mu, pair, obstacle_cfg)
-        q, _, _, record = _run_stage(stage, q, solver_cfg, trace)
+        q, _, record = _run_stage(_Stage(core, eta, mu, pair), q, solver_cfg,
+                                  trace)
         stages.append(record)
         if stage_callback is not None:
             stage_callback(list(stages), list(trace), q)
     Q = Profile(grid, q, ref.left_const, ref.right_const)
     last_pair = pairs[0.0]
-    contact = _contact_nodes(q, last_pair, grid)
+    contact = _contact_nodes(q, last_pair)
 
     # the energy breakdown and the residual from one evaluation at (0, 0):
-    # the gradient over h is the Euler-Lagrange field L Q + a W'(Q)
-    pieces, g = _Stage(core, 0.0, 0.0, None, None).evaluate(q)
-    rmax = _residual_max(g, grid.h)
+    # the gradient over h is the Euler-Lagrange field L Q + a W'(Q), whose
+    # max skips the two outermost interior nodes per side (lopsided
+    # quadrature there)
+    pieces, g = _Stage(core, 0.0, 0.0, None).evaluate(q)
+    rmax = float(np.abs(g[2:-2] / grid.h).max())
     tol = limit_tol if limit_tol is not None else default_limit_tol(grid, spec.s)
     lim = _limit_check(Q, pot.zeta1, pot.zeta2, tol)
     if not lim["pass"]:
-        x = Q.x
-        bad = [(float(xx), float(vv)) for xx, vv in
-               zip(x[np.abs(x) >= grid.R / 2][:8], Q.values[np.abs(x) >= grid.R / 2][:8])]
-        raise NonConvergenceError(
-            f"far-field limit check failed: {lim}", samples=bad)
+        raise NonConvergenceError(f"far-field limit check failed: {lim}")
     rise = pot.zeta2 - pot.zeta1
     mono = bool(np.all(np.diff(Q.values) * np.sign(rise) >= -1e-3 * abs(rise)))
 
@@ -594,6 +549,5 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
                        residual_max=rmax,
                        contact=contact, trace=trace, pair=last_pair,
                        stages=stages,
-                       stationarity=stages[-1].stationarity,
                        iterations=sum(s.iterations for s in stages),
                        limit_check=lim, monotone=mono)

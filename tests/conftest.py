@@ -1,4 +1,5 @@
-"""Shared fixtures: model specs and cached certified continuation runs.
+"""Shared fixtures: model specs, one-stage runs and cached certified
+continuation runs.
 
 The expensive solves are session-scoped so the solver, diagnostics, and
 acceptance modules reuse one run each.
@@ -8,14 +9,17 @@ from __future__ import annotations
 
 import math
 import time
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from nlhet import (Grid, KernelSpec, ModulationSpec, ObstacleConfig,
-                   PotentialSpec, Profile, ProblemSpec, SolverConfig,
-                   reference_profile_eval)
-from nlhet.solver import ContinuationSchedule, continuation_run
+                   ObstaclePair, PotentialSpec, Profile, ProblemSpec,
+                   SolverConfig, reference_profile_eval)
+from nlhet.discretize import reference_profile
+from nlhet.solver import (ContinuationSchedule, StageRecord, _Core, _Stage,
+                          _run_stage, continuation_run)
 
 TWO_PI = 2 * math.pi
 
@@ -57,6 +61,29 @@ def reference_on(spec: ProblemSpec, grid: Grid) -> Profile:
 
 def layer(x: np.ndarray, shift: float = 0.0) -> np.ndarray:
     return np.pi + 2 * np.arctan(x - shift)
+
+
+class StageRun(NamedTuple):
+    profile: Profile
+    contact: List[Tuple[int, float, str]]
+    trace: List[Tuple]
+    record: StageRecord
+
+
+def run_stage(Q0: Profile, spec: ProblemSpec, pair: Optional[ObstaclePair],
+              eta: float, mu: float, solver_cfg: Optional[SolverConfig] = None,
+              ref: Optional[Profile] = None) -> StageRun:
+    """One (eta, mu) stage from Q0 through the solver's stage runner, on a
+    fresh ``_Core``; ``pair`` None leaves the well clamp only."""
+    grid = Q0.grid
+    if ref is None:
+        ref = reference_profile(spec, grid)
+    stage = _Stage(_Core(spec, grid, ref), eta, mu, pair)
+    trace: List[Tuple] = []
+    q, contact, record = _run_stage(stage, Q0.values,
+                                    solver_cfg or SolverConfig(), trace)
+    return StageRun(Profile(grid, q, Q0.left_const, Q0.right_const), contact,
+                    trace, record)
 
 
 @pytest.fixture(scope="session")

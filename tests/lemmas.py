@@ -19,7 +19,7 @@ from nlhet import appendix_bench as ab
 from nlhet.discretize import Profile, bilinear_form, reference_profile, seminorm_K
 from nlhet.model import ProblemSpec
 from nlhet.obstacles import ObstacleConfig
-from nlhet.solver import SolveResult, _Core, _Stage
+from nlhet.solver import _Core, _Stage
 
 from oracles import _check_far_fields, renormalized_interaction
 
@@ -41,7 +41,7 @@ def truncate_to_wells(Q: Profile, pot) -> Profile:
                    min(max(Q.left_const, lo), hi), min(max(Q.right_const, lo), hi))
 
 
-def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
+def verify_apriori_bounds(Q: Profile, spec: ProblemSpec,
                           eta: float, mu: float,
                           ref: Optional[Profile] = None,
                           kappa_cap: float = 1e6) -> dict:
@@ -51,7 +51,6 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     implied kappa = quantity / scaling is reported and flagged only when it
     explodes past ``kappa_cap``.
     """
-    Q = result.profile
     grid = Q.grid
     if ref is None:
         ref = reference_profile(spec, grid)
@@ -61,7 +60,7 @@ def verify_apriori_bounds(result: SolveResult, spec: ProblemSpec,
     h1 = math.sqrt(float(np.sum(np.diff(v) ** 2)) / h)
     # [v]^2_K and the renormalized interaction E_R2 = [v]^2_K + 2 B(v, ref),
     # four times the stage's interaction piece, from one trial
-    stage = _Stage(_Core(spec, grid, ref), 0.0, 0.0, None, None)
+    stage = _Stage(_Core(spec, grid, ref), 0.0, 0.0, None)
     pieces, (cv, _) = stage.trial(Q.values)
     vk = math.sqrt(max(stage.seminorm_sq(v, cv), 0.0))
     vinf = float(np.abs(v).max())

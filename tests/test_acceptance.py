@@ -17,10 +17,9 @@ from nlhet.diagnostics import (find_clean_intervals, fit_tail_decay,
 from nlhet.discretize import Grid, Profile, operator_field, workspace_for
 from nlhet.model import verify_model
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import (ContinuationSchedule, SolverConfig,
-                          continuation_run, minimize_constrained)
+from nlhet.solver import ContinuationSchedule, SolverConfig, continuation_run
 
-from conftest import layer, modulated_spec, reference_on
+from conftest import layer, modulated_spec, reference_on, run_stage
 from lemmas import log_growth_slope, raw_seminorm_window_growth
 from oracles import brute_clean_intervals, renormalized_interaction, total_energy
 
@@ -110,7 +109,7 @@ def test_criterion_5_lewy_stampacchia(anchor_run):
     details = []
     for eta in (1e-1, 1e-2):
         pair = barrier_pair(spec, cfg, grid, eta)
-        res = minimize_constrained(ref, spec, pair, cfg, eta, 0.05)
+        res = run_stage(ref, spec, pair, eta, 0.05)
         for I in ((cfg.b1, cfg.b2), (-10.0, 10.0), (cfg.b1 - 1.0, cfg.b1 + 1.0),
                   (0.0, 20.0)):
             rep = lewy_stampacchia_check(res.profile, pair, spec, eta, I,

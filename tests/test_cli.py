@@ -146,7 +146,24 @@ class TestVerifyModel:
         cfg = _write(tmp_path, "m.ini", CONFIG_SMALL.replace(
             "R = 60.0", f"R = {R}"))
         assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "half-width R" in capsys.readouterr().err
+        assert "[grid] R" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        # each used to exit 1 after a partial or a full run
+        (CONFIG_SMALL + "\n[solver]\ngrad_tol = nan\n", "[solver] grad_tol"),
+        (CONFIG_SMALL.replace("b1 = -4.0", "b1 = nan"), "[obstacles] b1"),
+        (CONFIG_SMALL + "\n[limit]\ntol = nan\n", "[limit] tol"),
+        (CONFIG_SMALL + "\n[limit]\ntol = inf\n", "[limit] tol"),
+        (CONFIG_SMALL.replace("eta_seq = 0.1, 0.01, 0", "eta_seq = 0.1, nan, 0"),
+         "[continuation] eta_seq"),
+    ], ids=["grad_tol-nan", "b1-nan", "limit_tol-nan", "limit_tol-inf",
+            "eta_seq-nan"])
+    def test_non_finite_number_usage_error(self, tmp_path, capsys, text, named):
+        cfg = _write(tmp_path, "m.ini", text)
+        assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "not a finite number" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, named", [
@@ -761,6 +778,16 @@ class TestDiagnose:
         assert main(["diagnose", str(out / "profile.csv"), cfg,
                      "--checks", "frobnicate", "--out", str(tmp_path / "d4")]) == 2
 
+    def test_unknown_check_runs_no_check(self, solved, tmp_path, capsys):
+        # the known check before it used to write its CSVs first
+        code, tmp, cfg, out = solved
+        dout = tmp_path / "d8"
+        dout.mkdir()
+        assert main(["diagnose", str(out / "profile.csv"), cfg,
+                     "--checks", "tail,bogus", "--out", str(dout)]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert os.listdir(dout) == []
+
     @staticmethod
     def _one_line_exit(capsys, argv, code):
         """``main(argv)`` returns ``code``, prints one line to stderr and
@@ -824,6 +851,22 @@ class TestDiagnose:
             capsys, ["diagnose", prof, cfg, "--checks", "lewy-stampacchia",
                      "--out", str(tmp_path / "d7")], 1)
         assert "collar" in err
+
+    def test_single_tail_sample_exit1(self, tmp_path, capsys):
+        # one nonzero deviation right of R/2 used to fit exponent -1.326
+        # with r_squared 1.0, reported as measured
+        grid = Grid(R=200.0, n=8001)
+        x = grid.x
+        q = np.where(x < 0.0, layer(x), 2 * math.pi)
+        q[np.argmin(np.abs(x - 150.0))] -= 1e-3
+        Q = Profile(grid, q, 0.0, 2 * math.pi)
+        prof = str(tmp_path / "sparse.csv")
+        write_profile_csv(prof, Q, Q)
+        cfg = _write(tmp_path, "run.ini", CONFIG_SMALL)
+        err = self._one_line_exit(
+            capsys, ["diagnose", prof, cfg, "--checks", "tail",
+                     "--out", str(tmp_path / "d9")], 1)
+        assert "degenerate fit" in err
 
 
 class TestBench:

@@ -9,9 +9,8 @@ from nlhet.diagnostics import (DegenerateFitError, PreconditionError,
                                lewy_stampacchia_check, stickiness_check)
 from nlhet.discretize import Grid, Profile
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import minimize_constrained
 
-from conftest import homogeneous_spec, layer, reference_on
+from conftest import homogeneous_spec, layer, reference_on, run_stage
 from lemmas import glue_profile, gluing_energy_defect
 from oracles import brute_clean_intervals
 
@@ -139,7 +138,7 @@ def constrained():
     eta = 1e-2
     pair = barrier_pair(spec, cfg, grid, eta)
     ref = reference_on(spec, grid)
-    res = minimize_constrained(ref, spec, pair, cfg, eta, 0.05)
+    res = run_stage(ref, spec, pair, eta, 0.05)
     return spec, grid, cfg, pair, ref, res, eta
 
 
@@ -344,3 +343,14 @@ class TestTailFit:
         Q = Profile.from_function(g, lambda x: np.full_like(x, TWO_PI))
         with pytest.raises(DegenerateFitError):
             fit_tail_decay(Q, "right")
+
+    @pytest.mark.parametrize("xs", [(150.0,), (150.0, 160.0)])
+    def test_fewer_than_three_deviations_raise(self, xs):
+        # two points fit any line exactly: one sample at x = 150 used to
+        # return exponent -1.326 with r_squared 1.0
+        g = Grid(R=200.0, n=8001)
+        q = np.full(g.n, TWO_PI)
+        for x0 in xs:
+            q[np.argmin(np.abs(g.x - x0))] -= 1e-3
+        with pytest.raises(DegenerateFitError, match="at least 3"):
+            fit_tail_decay(Profile(g, q, 0.0, TWO_PI), "right")

@@ -6,9 +6,9 @@ import pytest
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, operator_field,
                               workspace_for)
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import _Core, _Stage, minimize_constrained
+from nlhet.solver import _Core, _Stage
 
-from conftest import homogeneous_spec, layer, reference_on
+from conftest import homogeneous_spec, layer, reference_on, run_stage
 from lemmas import (increment_growth_exponent, log_growth_slope,
                     raw_seminorm_window_growth, verify_apriori_bounds)
 from oracles import renormalized_interaction, total_energy, trapz
@@ -110,12 +110,12 @@ class TestTotalEnergy:
         spec, grid, ref = setup
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
         pair = barrier_pair(spec, cfg, grid, 1e-2)
-        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
-        rep = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref)
+        Q = run_stage(ref, spec, pair, 1e-2, 0.05).profile
+        rep = verify_apriori_bounds(Q, spec, 1e-2, 0.05, ref=ref)
         e2 = rep["bounds"]["E_R2"]
         assert e2["value"] < 0 and e2["implied_kappa"] > 0.05
         assert "E_R2" not in rep["flagged"]
-        low = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref, kappa_cap=0.05)
+        low = verify_apriori_bounds(Q, spec, 1e-2, 0.05, ref=ref, kappa_cap=0.05)
         assert "E_R2" in low["flagged"]
 
 
@@ -123,7 +123,7 @@ class TestEnergyGradient:
     def test_matches_operator_identically(self, setup):
         spec, grid, ref = setup
         Q = Profile.from_function(grid, layer, 0.0, TWO_PI)
-        stage = _Stage(_Core(spec, grid, ref), 0.3, 0.2, None, None)
+        stage = _Stage(_Core(spec, grid, ref), 0.3, 0.2, None)
         g1 = stage.gradient(Q.values)[1:-1]
         g2 = grid.h * operator_field(stage.ws, Q.values, Q.left_const,
                                      Q.right_const, spec, eta=0.3, mu=0.2,

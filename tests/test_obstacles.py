@@ -292,7 +292,7 @@ class TestStageProjection:
         spec, grid, cfg, _, _, pair = barrier_setup
         pot = spec.potential
         ref = reference_on(spec, grid)
-        stage = _Stage(_Core(spec, grid, ref), 1e-2, 1e-1, pair, cfg)
+        stage = _Stage(_Core(spec, grid, ref), 1e-2, 1e-1, pair)
         out = stage.project(ref.values + 10.0)
         x = grid.x
         left, right = x <= cfg.b1, x >= cfg.b2
@@ -308,4 +308,4 @@ class TestStageProjection:
         bad = copy.deepcopy(pair)
         bad.Psi.values[:] = bad.Phi.values + 1.0
         with pytest.raises(SolverError, match="empty feasible box"):
-            _Stage(_Core(spec, grid, reference_on(spec, grid)), 1e-2, 1e-1, bad, cfg)
+            _Stage(_Core(spec, grid, reference_on(spec, grid)), 1e-2, 1e-1, bad)

@@ -11,9 +11,10 @@ from nlhet import obstacles, solver
 from nlhet.obstacles import ObstacleConfig, barrier_pair
 from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
                           SolverConfig, SolverError, StagnationError, _Core,
-                          _Stage, continuation_run, minimize_constrained)
+                          _Stage, continuation_run)
 
-from conftest import (homogeneous_spec, layer, modulated_spec, reference_on)
+from conftest import (homogeneous_spec, layer, modulated_spec, reference_on,
+                      run_stage)
 from lemmas import truncate_to_wells, verify_apriori_bounds
 from oracles import dense_compressed_circulant_inverse, total_energy
 
@@ -66,28 +67,27 @@ class TestMinimizeConstrained:
         spec, grid, cfg = small_setup
         pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
-        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
+        res = run_stage(ref, spec, pair, 1e-2, 0.05)
         totals = [row[5] for row in res.trace]
         assert all(b < a for a, b in zip(totals, totals[1:]))
-        assert res.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
+        assert res.record.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
 
     def test_exact_layer_is_near_stationary(self, small_setup):
         # at eta = mu = 0 the explicit layer is already stationary at the
         # quadrature scale: with grad_tol at that scale it stops in <= 5 steps
         spec, grid, cfg = small_setup
         Q0 = Profile.from_function(grid, layer, 0.0, TWO_PI)
-        probe = minimize_constrained(Q0, spec, None, None, 0.0, 0.0,
-                                     SolverConfig(max_iters=1))
+        probe = run_stage(Q0, spec, None, 0.0, 0.0, SolverConfig(max_iters=1))
         g0 = probe.trace[0][-1]
-        res = minimize_constrained(Q0, spec, None, None, 0.0, 0.0,
-                                   SolverConfig(grad_tol=1.05 * g0))
-        assert res.iterations <= 5
+        res = run_stage(Q0, spec, None, 0.0, 0.0,
+                        SolverConfig(grad_tol=1.05 * g0))
+        assert res.record.iterations <= 5
 
     def test_contact_free_with_defaults(self, small_setup):
         spec, grid, cfg = small_setup
         pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
-        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
+        res = run_stage(ref, spec, pair, 1e-2, 0.05)
         assert res.contact == []
 
     def test_sigma_membership_without_interior_clamping(self, small_setup):
@@ -96,23 +96,24 @@ class TestMinimizeConstrained:
         spec, grid, cfg = small_setup
         pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
-        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
+        res = run_stage(ref, spec, pair, 1e-2, 0.05)
         x = grid.x
         mid = (x > cfg.b1) & (x < cfg.b2)
         q = res.profile.values
         assert np.all(q[mid] <= pair.Phi.values[mid] + 1e-9)
         assert np.all(q[mid] >= pair.Psi.values[mid] - 1e-9)
 
-    def test_stagnation_error_with_one_backtrack(self, small_setup):
+    def test_stagnation_error_with_one_backtrack(self, small_setup,
+                                                 monkeypatch):
         # from the plateau start of the nonconvex test the first Newton
         # steps are accepted at the unit step, but a later one overshoots
         # (at iteration 3 the energy rises from 1.57 to 4.24); one trial per iteration cannot absorb that, so
         # Armijo runs out of admissible steps after accepted ones
         spec, grid, cfg = small_setup
+        monkeypatch.setattr(solver, "MAX_BACKTRACKS", 1)
         with pytest.raises(StagnationError) as err:
-            minimize_constrained(Profile(grid, _plateau_start(grid), 0.0, TWO_PI),
-                                 spec, None, None, 0.0, 0.0,
-                                 SolverConfig(max_backtracks=1))
+            run_stage(Profile(grid, _plateau_start(grid), 0.0, TWO_PI),
+                      spec, None, 0.0, 0.0)
         assert err.value.iteration > 1
 
     def test_non_finite_potential_raises_at_first_bad_trial(self, small_setup,
@@ -131,7 +132,7 @@ class TestMinimizeConstrained:
 
         monkeypatch.setattr(solver, "potential_eval_grad", poisoned)
         with pytest.raises(NonFiniteEnergyError, match="potential") as err:
-            minimize_constrained(ref, spec, None, None, 1e-2, 0.05)
+            run_stage(ref, spec, None, 1e-2, 0.05)
         assert isinstance(err.value, SolverError)
         assert err.value.term == "potential"
         assert len(calls) == 3
@@ -144,7 +145,7 @@ class TestMinimizeConstrained:
         tight = ObstacleConfig(b1=-4.0, b2=4.0, r=0.1)
         pair = barrier_pair(spec, tight, grid, 1e-2)
         ref = reference_on(spec, grid)
-        res = minimize_constrained(ref, spec, pair, tight, 1e-2, 0.05)
+        res = run_stage(ref, spec, pair, 1e-2, 0.05)
         assert res.contact, "tight corridor should produce contact"
         Q = res.profile
         g = grid.h * operator_field(workspace_for(spec.kernel, grid), Q.values,
@@ -175,10 +176,10 @@ class TestStepRule:
         pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
         gtol = SolverConfig().resolve_grad_tol(grid.n)
-        loose = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
-        tight = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05,
-                                     SolverConfig(grad_tol=gtol / 100))
-        assert tight.stationarity <= gtol / 100
+        loose = run_stage(ref, spec, pair, 1e-2, 0.05)
+        tight = run_stage(ref, spec, pair, 1e-2, 0.05,
+                          SolverConfig(grad_tol=gtol / 100))
+        assert tight.record.stationarity <= gtol / 100
         diff = np.abs(loose.profile.values - tight.profile.values).max()
         assert diff <= 2 * gtol / grid.h
 
@@ -215,14 +216,13 @@ class TestStepRule:
 
         monkeypatch.setattr(solver, "_newton_direction", direction)
         monkeypatch.setattr(_Stage, "trial", trial)
-        res = minimize_constrained(Profile(grid, q, 0.0, TWO_PI), spec, None,
-                                   None, 0.0, 0.0)
+        res = run_stage(Profile(grid, q, 0.0, TWO_PI), spec, None, 0.0, 0.0)
         assert sum(fallbacks) >= 1
         totals = [row[5] for row in res.trace]
         assert all(b < a for a, b in zip(totals, totals[1:]))
-        assert res.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
-        assert res.stages[0].trials == len(trials)
-        assert res.stages[0].iterations <= 15
+        assert res.record.stationarity <= SolverConfig().resolve_grad_tol(grid.n)
+        assert res.record.trials == len(trials)
+        assert res.record.iterations <= 15
 
 
 class TestFusedEvaluation:
@@ -232,7 +232,7 @@ class TestFusedEvaluation:
         ref = reference_on(spec, grid)
         bump = np.exp(-grid.x ** 2 / 8.0) * np.sin(grid.x)
         q = np.clip(ref.values + bump, 0.0, TWO_PI)
-        stage = _Stage(_Core(spec, grid, ref), 1e-2, 0.05, None, None)
+        stage = _Stage(_Core(spec, grid, ref), 1e-2, 0.05, None)
         pieces, g = stage.evaluate(q)
         assert pieces == stage.trial(q)[0]
         g_ref = stage.gradient(q)
@@ -257,7 +257,7 @@ class TestNewtonCG:
         q = np.clip(ref.values + np.exp(-x ** 2 / 8.0) * np.sin(x), 0.0, TWO_PI)
         p = np.exp(-(x - 3.0) ** 2 / 20.0) * np.cos(x / 2.0)
         p[0] = p[-1] = 0.0
-        stage = _Stage(_Core(spec, grid, ref), 0.05, 0.1, None, None)
+        stage = _Stage(_Core(spec, grid, ref), 0.05, 0.1, None)
         d = 1e-5
         fd = (stage.gradient(q + d * p) - stage.gradient(q - d * p)) / (2 * d)
         Hp = stage.hessvec(stage.curvature(q), p)
@@ -272,7 +272,7 @@ class TestNewtonCG:
         grid = Grid(R=4.0, n=33)
         core = _Core(spec, grid, reference_on(spec, grid))
         eta, mu = 0.05, 0.1
-        stage = _Stage(core, eta, mu, None, None)
+        stage = _Stage(core, eta, mu, None)
         P = np.column_stack([stage.precondition(e) for e in np.eye(grid.n)])
         ws, h = core.ws, grid.h
         dense = dense_compressed_circulant_inverse(
@@ -291,7 +291,7 @@ class TestNewtonCG:
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
         ref = reference_on(spec, grid)
         stage = _Stage(_Core(spec, grid, ref), 0.1, 0.1,
-                       barrier_pair(spec, cfg, grid, 0.1), cfg)
+                       barrier_pair(spec, cfg, grid, 0.1))
         q = stage.project(ref.values)
         _, g = stage.evaluate(q)
         free = np.ones(grid.n, bool)
@@ -381,10 +381,10 @@ class TestBarrierCache:
 
 
 class TestStageRunner:
-    def test_continuation_stage_matches_minimize_constrained(self):
-        # both entry points run a stage through the same code: stage 0 of a
-        # continuation equals a single constrained minimization from the
-        # same start, against the same barrier pair, at the same (eta, mu)
+    def test_continuation_stage_matches_single_stage(self):
+        # a continuation runs each stage through the one stage runner: its
+        # stage 0 equals a single constrained minimization from the same
+        # start, against the same barrier pair, at the same (eta, mu)
         spec = homogeneous_spec()
         grid = Grid(R=40.0, n=401)
         cfg = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
@@ -398,10 +398,10 @@ class TestStageRunner:
                                 stage_callback=capture)
         assert len(cont.stages) == 3  # both etas at mu = 0.1, then the polish
         ref = reference_on(spec, grid)
-        single = minimize_constrained(ref, spec, barrier_pair(spec, cfg, grid, 1e-1),
-                                      cfg, 1e-1, 1e-1)
+        single = run_stage(ref, spec, barrier_pair(spec, cfg, grid, 1e-1),
+                           1e-1, 1e-1)
         assert np.array_equal(seen[0], single.profile.values)
-        assert cont.stages[0] == single.stages[0]
+        assert cont.stages[0] == single.record
         assert cont.trace[:len(single.trace)] == single.trace
 
 
@@ -573,8 +573,8 @@ class TestTranslationAndBounds:
         cfg = ObstacleConfig(b1=-4.0, b2=4.0)
         pair = barrier_pair(spec, cfg, grid, 1e-2)
         ref = reference_on(spec, grid)
-        res = minimize_constrained(ref, spec, pair, cfg, 1e-2, 0.05)
-        rep = verify_apriori_bounds(res, spec, 1e-2, 0.05, ref=ref)
+        res = run_stage(ref, spec, pair, 1e-2, 0.05)
+        rep = verify_apriori_bounds(res.profile, spec, 1e-2, 0.05, ref=ref)
         assert rep["well_sandwich"]
         assert rep["flagged"] == []
         assert rep["bounds"]["v_inf"]["value"] <= TWO_PI + math.pi
@@ -591,9 +591,9 @@ class TestTranslationAndBounds:
         Q = ref
         e_values = []
         for mu in (0.1, 0.02, 0.005):
-            res = minimize_constrained(Q, spec, pair, cfg, 1e-2, mu, ref=ref)
+            res = run_stage(Q, spec, pair, 1e-2, mu, ref=ref)
             Q = res.profile
-            rep = verify_apriori_bounds(res, spec, 1e-2, mu, ref=ref)
+            rep = verify_apriori_bounds(Q, spec, 1e-2, mu, ref=ref)
             assert rep["flagged"] == []
             e_values.append(abs(rep["bounds"]["E_R2"]["value"]))
         assert max(e_values) / min(e_values) <= 10.0

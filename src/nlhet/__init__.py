@@ -20,7 +20,7 @@ try:
     from .model import (KernelSpec, ModulationSpec, PotentialSpec, ProblemSpec,
                         ReferenceProfile, kernel_eval, potential_eval_grad,
                         reference_profile_eval, verify_model)
-    from .discretize import Grid, Profile, bilinear_form, seminorm_K
+    from .discretize import Grid, Profile, seminorm_K
     from .obstacles import (ObstacleConfig, ObstaclePair, barrier_pair,
                             build_envelopes, solve_barrier)
     from .solver import (ContinuationSchedule, EnergyBreakdown, SolveResult,
@@ -35,7 +35,7 @@ __all__ = [
     "KernelSpec", "ModulationSpec", "PotentialSpec", "ProblemSpec",
     "ReferenceProfile", "kernel_eval", "potential_eval_grad",
     "reference_profile_eval", "verify_model",
-    "Grid", "Profile", "bilinear_form", "seminorm_K",
+    "Grid", "Profile", "seminorm_K",
     "ObstacleConfig", "ObstaclePair", "barrier_pair", "build_envelopes",
     "solve_barrier",
     "ContinuationSchedule", "EnergyBreakdown", "SolveResult", "SolverConfig",

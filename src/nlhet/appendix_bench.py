@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._record import record
-from .discretize import Grid, Profile, WHOLE_LINE, bilinear_form
+from .discretize import Grid, Profile, WHOLE_LINE, seminorm_K
 
 __all__ = [
     "ResolutionError",
@@ -122,9 +122,7 @@ def bump_norms(family: BumpFamily, k: int) -> Tuple[float, float]:
     tw = np.full(prof.grid.n, h)
     tw[0] = tw[-1] = h / 2
     l2 = math.sqrt(float(np.sum(prof.values ** 2 * tw)))
-    ker = _GagliardoKernel(family.s)
-    hs2 = bilinear_form(prof, prof, WHOLE_LINE, WHOLE_LINE, ker)
-    return l2, math.sqrt(max(hs2, 0.0))
+    return l2, seminorm_K(prof, WHOLE_LINE, _GagliardoKernel(family.s))
 
 
 # --------------------------------------------------------------------------

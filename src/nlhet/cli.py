@@ -427,13 +427,12 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                     "clean_points": rep.clean_points,
                 }
             elif check == "lewy-stampacchia":
-                eta = d["eta"]
-                pair = barrier_pair(spec, cfg.obstacles, Q.grid, eta)
+                pair = barrier_pair(spec, cfg.obstacles, Q.grid, d["eta"])
                 slack = d["ls_slack"]
                 if slack is None:
                     slack = 2 * cfg.solver.resolve_grad_tol(Q.grid.n) / Q.grid.h
                 rep = dg.lewy_stampacchia_check(
-                    Q, pair, spec, eta, (cfg.obstacles.b1, cfg.obstacles.b2),
+                    Q, pair, spec, (cfg.obstacles.b1, cfg.obstacles.b2),
                     mu=d["mu"], ref=ref, slack=slack)
                 out["lewy_stampacchia"] = vars(rep)
                 out["lewy_stampacchia"]["passed"] = rep.passed
@@ -455,11 +454,12 @@ def cmd_diagnose(profile_path: str, cfg: RunConfig, checks: List[str],
                 val = dg.holder_estimate(Q, (-2.0, 2.0), alpha)
                 out["holder"] = {"alpha": alpha, "value": val}
             elif check == "tail":
-                for side in ("left", "right"):
-                    fit = dg.fit_tail_decay(Q, side)
-                    out[f"tail_{side}"] = vars(fit)
-                    csvp = os.path.join(outdir, f"tail_{side}.csv")
-                    write_tail_csv(csvp, Q, side)
+                # both fits before either CSV: a failed fit writes nothing
+                fits = [dg.fit_tail_decay(Q, side) for side in ("left", "right")]
+                for fit in fits:
+                    out[f"tail_{fit.side}"] = vars(fit)
+                    csvp = os.path.join(outdir, f"tail_{fit.side}.csv")
+                    write_tail_csv(csvp, Q, fit.side)
                     outputs.append(csvp)
     except dg.PreconditionError as e:
         print(f"precondition error: {e}", file=sys.stderr)

@@ -169,6 +169,13 @@ def parse_config(path: str) -> RunConfig:
             "bump_tol": get("bench", "bump_tol", float, 0.03),
             "trace_tol": get("bench", "trace_tol", float, 0.05),
         }
+        # a bump or trace ratio needs two members: k = 0..kmax, 1..trace_kmax
+        for key, low in (("kmax", 1), ("trace_kmax", 2)):
+            if bench[key] < low:
+                raise ConfigError(f"[bench] {key} = {bench[key]}: must be >= "
+                                  f"{low}, or no ratio is checked")
+        if not bench["s_values"]:
+            raise ConfigError("[bench] s_values is empty: no family to check")
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:

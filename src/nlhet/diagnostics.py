@@ -189,7 +189,7 @@ def stickiness_check(Q: Profile, x1: float, x2: float, spec: ProblemSpec,
     if ref is None:
         ref = reference_profile(spec, Q.grid)
     penalty = 0.5 * mu * float(np.sum((q[sel] - ref.values[sel]) ** 2)) * h
-    inter = 0.25 * seminorm_K(Q, (x1, x2), (x1, x2), spec.kernel) ** 2
+    inter = 0.25 * seminorm_K(Q, (x1, x2), spec.kernel) ** 2
     W, _ = potential_eval_grad(spec.potential, q[sel])
     pot = float(np.sum(np.asarray(spec.modulation(x[sel])) * W)) * h
     total = viscous + penalty + inter + pot
@@ -216,10 +216,11 @@ class LSReport:
 
 
 def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
-                           eta: float, I: Interval, mu: float = 0.0,
+                           I: Interval, mu: float = 0.0,
                            ref: Optional[Profile] = None,
                            slack: float = 1e-6) -> LSReport:
-    """Two-sided bound on  -eta d2 Q + L Q  over the interval I.
+    """Two-sided bound on  -eta d2 Q + L Q  over the interval I, at the
+    viscosity eta that the barrier pair was built at (``pair.eta``).
 
     The lower bound is min(inf_I(-|d2 Phi| + L Phi), inf_I f) and the upper
     bound max(sup_I(|d2 Psi| + L Psi), sup_I f) with the force
@@ -242,7 +243,7 @@ def lewy_stampacchia_check(Q: Profile, pair: ObstaclePair, spec: ProblemSpec,
         return operator_field(ws, prof.values, prof.left_const,
                               prof.right_const, eta=visc)
 
-    AQ = op(Q, eta)[sel]
+    AQ = op(Q, pair.eta)[sel]
     _, Wp = potential_eval_grad(spec.potential, Q.values)
     f = (-np.asarray(spec.modulation(x)) * Wp - mu * (Q.values - ref.values))[sel]
     d2Phi = second_difference(pair.Phi.values, grid.h)[sel]

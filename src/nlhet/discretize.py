@@ -21,8 +21,8 @@ differences, and the row sums telescope to rho = 2 T(h/2) - Wl - Wr, so
 the diagonal rho + Wl + Wr is 2 T(h/2); only a tabulated kernel convolves
 ``ones``.
 
-All weights depend only on |i - j|, so operator application and every
-double form reduce to Toeplitz convolutions, evaluated by FFT with a fixed
+All weights depend only on |i - j|, so operator application and the
+seminorm reduce to Toeplitz convolutions, evaluated by FFT with a fixed
 summation order (deterministic output for identical input); no other
 module transforms.  The Toeplitz matrix embeds in a symmetric circulant of
 length L, the next power of two >= 2n - 1 (R. Chan & Ng, SIAM Rev. 38,
@@ -57,7 +57,6 @@ __all__ = [
     "operator_field",
     "operator_linear",
     "seminorm_K",
-    "bilinear_form",
     "second_difference",
     "toeplitz_circulant",
     "strang_circulant",
@@ -334,7 +333,7 @@ def second_difference(values: np.ndarray, h: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# intervals and double forms
+# intervals and the seminorm
 # --------------------------------------------------------------------------
 
 Interval = Tuple[float, float]
@@ -358,85 +357,37 @@ def _interval_mask(grid: Grid, iv: Interval) -> Tuple[np.ndarray, bool, bool]:
     return (x >= lo - tol) & (x <= hi + tol), not np.isfinite(lo), not np.isfinite(hi)
 
 
-def _masked_pair_sum(ws: Workspace, f: np.ndarray, g: np.ndarray,
-                     mx: np.ndarray, my: np.ndarray) -> float:
-    """sum over i in X, j in Y of (f_i - f_j)(g_i - g_j) w_{|i-j|} (ordered pairs).
+def seminorm_K(f: Profile, X: Interval, kernel: KernelSpec) -> float:
+    """Squared-difference seminorm [f]_{K, X x X} (nonnegative square root).
 
-    The sum is invariant under constant shifts of f and g; centering both
-    keeps the four convolution terms from cancelling catastrophically.
-
-    Convolutions are shared where the terms coincide: an all-true mask
-    convolves to the row sums ``ws.rho`` (``conv(ones)`` up to round-off
-    once they telescope, for power-law kernels); equal masks share one mask
-    convolution between t1 and t2; equal masks with equal centered f and g
-    make t4 = t3.  Two all-true masks with equal centered f and g give
-    t1 = t2 = sum f^2 rho and t3 = t4 = ``ws.quad(f)``, so a whole-line
-    seminorm costs one forward transform and no convolution.  Every other
-    case is the four-convolution sum with ``rho`` in place of the
-    convolution of an all-true mask, bit for bit (``conv(ones)`` itself
-    would change the last bits); a seminorm over one finite interval costs
-    two convolutions.
+    The node pairs in X x X give sum (f_i - f_j)^2 w_{|i-j|}, invariant under
+    a constant shift of f; centering f keeps its terms from cancelling
+    catastrophically.  It is t1 + t1 - t3 - t3 with t1 = sum f^2 c conv(c)
+    and t3 = sum f c conv(f c), c the mask of X: two convolutions, summed in
+    the order of the four-term form so that the two agree bit for bit.  When
+    X holds every node, conv(c) is the row sums ``rho`` and t3 is
+    ``ws.quad(f)``, so the sum costs one forward transform and no
+    convolution.  Each unbounded end adds its window x tail block twice
+    (X x tail, then tail x X) against that side's far field; on the whole
+    line, unequal far fields make the cross-tail kernel mass diverge for
+    s <= 1/2, and the seminorm is inf.
     """
-    f = f - f.mean()
-    g = g - g.mean()
-    same_mask = np.array_equal(mx, my)
-    same_f = np.array_equal(f, g)
-    if same_mask and same_f and mx.all():
-        return 2.0 * (float(np.sum(f * f * ws.rho)) - ws.quad(f))
-    cx = mx.astype(np.float64)
-    cy = my.astype(np.float64)
-    conv_cy = ws.rho if my.all() else ws.conv(cy)
-    if same_mask:
-        conv_cx = conv_cy
-    else:
-        conv_cx = ws.rho if mx.all() else ws.conv(cx)
-    t1 = np.sum(f * g * cx * conv_cy)
-    t2 = np.sum(f * g * cy * conv_cx)
-    t3 = np.sum(f * cx * ws.conv(g * cy))
-    if same_mask and same_f:
-        t4 = t3
-    else:
-        t4 = np.sum(g * cx * ws.conv(f * cy))
-    return float(t1 + t2 - t3 - t4)
-
-
-def bilinear_form(f: Profile, g: Profile, I: Interval, J: Interval,
-                  spec: KernelSpec) -> float:
-    """B_{I,J}(f, g) = iint_{I x J} (f(x)-f(y))(g(x)-g(y)) K(x-y) dx dy.
-
-    Symmetric under swapping (I, J) since K is even; bilinear in (f, g).
-    Exterior parts use the far-field constants; an unbounded interval on
-    both sides contributes nothing unless both profiles have unequal far
-    fields, in which case the cross-tail kernel mass diverges for s <= 1/2
-    and the form is reported as +-inf.
-    """
-    if f.grid != g.grid:
-        raise ValueError("profiles must share a grid")
-    ws = workspace_for(spec, f.grid)
+    ws = workspace_for(kernel, f.grid)
     h = f.grid.h
-    mI, loI, hiI = _interval_mask(f.grid, I)
-    mJ, loJ, hiJ = _interval_mask(f.grid, J)
-    fv, gv = f.values, g.values
-    total = h * _masked_pair_sum(ws, fv, gv, mI, mJ)
-    # window x tail blocks (and mirrored)
-    for mwin, tl, tr in ((mI, loJ, hiJ), (mJ, loI, hiI)):
-        if tl:
-            total += h * float(np.sum(((fv - f.left_const) * (gv - g.left_const)
-                                       * ws.Wl)[mwin]))
-        if tr:
-            total += h * float(np.sum(((fv - f.right_const) * (gv - g.right_const)
-                                       * ws.Wr)[mwin]))
-    # tail x tail blocks: nonzero only across opposite tails
-    for a, b in ((loI, hiJ), (hiI, loJ)):
-        if a and b:
-            df = f.left_const - f.right_const
-            dg = g.left_const - g.right_const
-            if df != 0.0 and dg != 0.0:
-                total += math.copysign(math.inf, df * dg)
-    return total
-
-
-def seminorm_K(f: Profile, X: Interval, Y: Interval, spec: KernelSpec) -> float:
-    """Squared-difference seminorm [f]_{K, X x Y} (nonnegative square root)."""
-    val = bilinear_form(f, f, X, Y, spec)
-    return math.sqrt(max(val, 0.0))
+    m, lo, hi = _interval_mask(f.grid, X)
+    fv = f.values
+    fc = fv - fv.mean()
+    if m.all():
+        total = h * (2.0 * (float(np.sum(fc * fc * ws.rho)) - ws.quad(fc)))
+    else:
+        c = m.astype(np.float64)
+        t1 = np.sum(fc * fc * c * ws.conv(c))
+        t3 = np.sum(fc * c * ws.conv(fc * c))
+        total = h * float(t1 + t1 - t3 - t3)
+    for end, far, W in ((lo, f.left_const, ws.Wl), (hi, f.right_const, ws.Wr)) * 2:
+        if end:
+            d = fv - far
+            total += h * float(np.sum((d * d * W)[m]))
+    if lo and hi and f.left_const != f.right_const:
+        total += math.inf
+    return math.sqrt(max(total, 0.0))

@@ -16,12 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from nlhet import appendix_bench as ab
-from nlhet.discretize import Profile, bilinear_form, reference_profile, seminorm_K
+from nlhet.discretize import Profile, reference_profile, seminorm_K
 from nlhet.model import ProblemSpec
 from nlhet.obstacles import ObstacleConfig
 from nlhet.solver import _Core, _Stage
 
-from oracles import _check_far_fields, renormalized_interaction
+from oracles import _check_far_fields, bilinear_form, renormalized_interaction
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def gluing_energy_defect(Q: Profile, P: Profile, x0: float, beta: float,
     e_full = renormalized_interaction(P, ref, spec, (T1, T2), (T1, T2))
     e_left = renormalized_interaction(Q, ref, spec, (T1, x0), (T1, x0))
     e_right = renormalized_interaction(P, ref, spec, (x0, T2), (x0, T2))
-    cross = seminorm_K(ref, (x0 - beta, x0), (x0, x0 + beta), k) ** 2
+    cross = bilinear_form(ref, ref, (x0 - beta, x0), (x0, x0 + beta), k)
     return abs(e_full - e_left - e_right + 2.0 * cross)
 
 # --------------------------------------------------------------------------
@@ -158,8 +158,7 @@ def gluing_energy_defect(Q: Profile, P: Profile, x0: float, beta: float,
 def raw_seminorm_window_growth(Q: Profile, spec: ProblemSpec,
                                radii: Sequence[float]) -> List[float]:
     """[Q]^2_{K, [-Rk, Rk]^2} for a growing family of sub-windows."""
-    return [bilinear_form(Q, Q, (-rk, rk), (-rk, rk), spec.kernel)
-            for rk in radii]
+    return [seminorm_K(Q, (-rk, rk), spec.kernel) ** 2 for rk in radii]
 
 
 def log_growth_slope(radii: Sequence[float], values: Sequence[float]) -> float:

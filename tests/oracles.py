@@ -3,6 +3,7 @@
 These stay deliberately separate from the package code paths: dense direct
 quadrature for the singular operator, exhaustive pair enumeration for clean
 intervals, a plain double-midpoint sum for the Gagliardo forms, the
+two-interval bilinear form as the plain four-convolution sum, the
 full-matrix H^(1/2) sum on a nonuniform partition, a dense direct
 solve of the barrier problem, exactly rounded Toeplitz row sums and
 quadratic forms, power kernel cell masses as a difference of two powers,
@@ -19,7 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from nlhet.discretize import Grid, Interval, Profile, WHOLE_LINE, bilinear_form
+from nlhet.discretize import (Grid, Interval, Profile, WHOLE_LINE, _interval_mask,
+                              workspace_for)
 from nlhet.model import ProblemSpec, potential_eval_grad
 from nlhet.solver import EnergyBreakdown
 
@@ -133,6 +135,47 @@ def dense_half_seminorm(edges: np.ndarray, f_mid: np.ndarray,
     ext = 2.0 * np.sum((f_mid ** 2 * widths * keep)
                        * (1.0 / (edges[-1] - mids) + 1.0 / (mids - edges[0])))
     return math.sqrt(max(total + float(ext), 0.0))
+
+
+def bilinear_form(f: Profile, g: Profile, I: Interval, J: Interval,
+                  kernel) -> float:
+    """B_{I,J}(f, g) = iint_{I x J} (f(x)-f(y))(g(x)-g(y)) K(x-y) dx dy.
+
+    The node pairs in I x J give sum (f_i - f_j)(g_i - g_j) w_{|i-j|}, as
+    the four convolution terms of the centered profiles, with the row sums
+    ``rho`` in place of the convolution of an all-true mask; no term is
+    shared with another.  Each unbounded end of one interval adds the
+    window x tail block of the other against the far fields.  The two
+    opposite tails of the whole line carry infinite kernel mass for
+    s <= 1/2, so unequal far fields in both profiles make the form +-inf.
+    """
+    if f.grid != g.grid:
+        raise ValueError("profiles must share a grid")
+    ws = workspace_for(kernel, f.grid)
+    h = f.grid.h
+    mI, loI, hiI = _interval_mask(f.grid, I)
+    mJ, loJ, hiJ = _interval_mask(f.grid, J)
+    fv, gv = f.values, g.values
+    fc, gc = fv - fv.mean(), gv - gv.mean()
+    cI, cJ = mI.astype(np.float64), mJ.astype(np.float64)
+    t1 = np.sum(fc * gc * cI * (ws.rho if mJ.all() else ws.conv(cJ)))
+    t2 = np.sum(fc * gc * cJ * (ws.rho if mI.all() else ws.conv(cI)))
+    t3 = np.sum(fc * cI * ws.conv(gc * cJ))
+    t4 = np.sum(gc * cI * ws.conv(fc * cJ))
+    total = h * float(t1 + t2 - t3 - t4)
+    for mwin, tl, tr in ((mI, loJ, hiJ), (mJ, loI, hiI)):
+        if tl:
+            total += h * float(np.sum(((fv - f.left_const) * (gv - g.left_const)
+                                       * ws.Wl)[mwin]))
+        if tr:
+            total += h * float(np.sum(((fv - f.right_const) * (gv - g.right_const)
+                                       * ws.Wr)[mwin]))
+    for a, b in ((loI, hiJ), (hiI, loJ)):
+        df = f.left_const - f.right_const
+        dg = g.left_const - g.right_const
+        if a and b and df != 0.0 and dg != 0.0:
+            total += math.copysign(math.inf, df * dg)
+    return total
 
 
 def full_window_bump_norms(family, k: int) -> Tuple[float, float]:

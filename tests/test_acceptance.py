@@ -112,7 +112,7 @@ def test_criterion_5_lewy_stampacchia(anchor_run):
         res = run_stage(ref, spec, pair, eta, 0.05)
         for I in ((cfg.b1, cfg.b2), (-10.0, 10.0), (cfg.b1 - 1.0, cfg.b1 + 1.0),
                   (0.0, 20.0)):
-            rep = lewy_stampacchia_check(res.profile, pair, spec, eta, I,
+            rep = lewy_stampacchia_check(res.profile, pair, spec, I,
                                          mu=0.05, ref=ref, slack=slack)
             all_pass &= rep.passed
         details.append(f"eta={eta:g} ok")
@@ -124,7 +124,7 @@ def test_criterion_5_lewy_stampacchia(anchor_run):
                             pair.Phi.values)
             Qn = Profile(grid, noisy, res.profile.left_const,
                          res.profile.right_const)
-            rep = lewy_stampacchia_check(Qn, pair, spec, eta, (-2.0, 2.0),
+            rep = lewy_stampacchia_check(Qn, pair, spec, (-2.0, 2.0),
                                          mu=0.05, ref=ref, slack=slack)
             all_pass &= not rep.passed
             details.append("noise witness fails")

@@ -96,21 +96,19 @@ class TestSuperposition:
         # common-grid seminorm of the partial superposition never exceeds
         # the sum of member seminorms
         from nlhet.appendix_bench import _GagliardoKernel
-        from nlhet.discretize import Grid, Profile, WHOLE_LINE, bilinear_form
+        from nlhet.discretize import Grid, Profile, WHOLE_LINE, seminorm_K
         s = 0.3
         fam = BumpFamily(s=s)
         g = Grid(R=3.0, n=12001)
         ker = _GagliardoKernel(s)
         total = Profile(g, superposition_eval(fam, g.x + 2.0, kmax=4), 0.0, 0.0)
-        lhs = math.sqrt(max(bilinear_form(total, total, WHOLE_LINE, WHOLE_LINE, ker), 0))
+        lhs = seminorm_K(total, WHOLE_LINE, ker)
         rhs = 0.0
         for k in range(1, 5):
             member = Profile(g, fam.member(k, g.x + 2.0), 0.0, 0.0)
-            rhs += math.sqrt(max(bilinear_form(member, member, WHOLE_LINE,
-                                               WHOLE_LINE, ker), 0))
+            rhs += seminorm_K(member, WHOLE_LINE, ker)
             member2 = Profile(g, fam.base(math.exp(k) * (g.x + 2.0 - 1.0 / k)), 0.0, 0.0)
-            rhs += math.sqrt(max(bilinear_form(member2, member2, WHOLE_LINE,
-                                               WHOLE_LINE, ker), 0))
+            rhs += seminorm_K(member2, WHOLE_LINE, ker)
         assert lhs <= rhs + 1e-12
 
 

@@ -867,6 +867,8 @@ class TestDiagnose:
             capsys, ["diagnose", prof, cfg, "--checks", "tail",
                      "--out", str(tmp_path / "d9")], 1)
         assert "degenerate fit" in err
+        # the left fit succeeds, but no side's CSV is written
+        assert not list((tmp_path / "d9").glob("tail_*.csv"))
 
 
 class TestBench:
@@ -881,6 +883,22 @@ class TestBench:
     def test_half_exponent_usage_error(self, tmp_path):
         cfg = _write(tmp_path, "b.ini", "[bench]\ns_values = 0.5\nkmax = 3\n")
         assert main(["bench-appendix", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("s_values", ""), ("kmax", "0"), ("trace_kmax", "1")])
+    def test_value_that_checks_nothing_is_usage_error(self, tmp_path, capsys,
+                                                     key, value):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "configs", "bench.ini")) as fh:
+            lines = [f"{key} = {value}" if ln.split("=")[0].strip() == key
+                     else ln for ln in fh.read().splitlines()]
+        cfg = _write(tmp_path, "b.ini", "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["bench-appendix", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[bench] {key}" in err
+        assert not out.exists()
 
     def test_unresolvable_k_check_error(self, tmp_path):
         cfg = _write(tmp_path, "b.ini",

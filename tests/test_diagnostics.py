@@ -147,7 +147,7 @@ class TestLewyStampacchia:
         spec, grid, cfg, pair, ref, res, eta = constrained
         slack = 2 * (1e-8 * grid.n) / grid.h
         for I in ((-4.0, 4.0), (-10.0, 10.0), (cfg.b1 - 1.0, cfg.b1 + 1.0)):
-            rep = lewy_stampacchia_check(res.profile, pair, spec, eta, I,
+            rep = lewy_stampacchia_check(res.profile, pair, spec, I,
                                          mu=0.05, ref=ref, slack=slack)
             assert rep.passed, f"interval {I}: gaps {rep.min_gap_low}, {rep.min_gap_high}"
 
@@ -163,7 +163,7 @@ class TestLewyStampacchia:
                         pair.Psi.values, pair.Phi.values)
         Qn = Profile(grid, noisy, res.profile.left_const, res.profile.right_const)
         slack = 2 * (1e-8 * grid.n) / grid.h
-        rep = lewy_stampacchia_check(Qn, pair, spec, eta, (-2.0, 2.0),
+        rep = lewy_stampacchia_check(Qn, pair, spec, (-2.0, 2.0),
                                      mu=0.05, ref=ref, slack=slack)
         assert not rep.passed
 
@@ -176,7 +176,7 @@ class TestLewyStampacchia:
         q[k] = pair.Phi.values[k] + 0.01
         Qb = Profile(grid, q, res.profile.left_const, res.profile.right_const)
         slack = 2 * (1e-8 * grid.n) / grid.h
-        rep = lewy_stampacchia_check(Qb, pair, spec, eta, (-4.0, 4.0),
+        rep = lewy_stampacchia_check(Qb, pair, spec, (-4.0, 4.0),
                                      mu=0.05, ref=ref, slack=slack)
         assert rep.min_gap_low >= 0 and rep.min_gap_high >= 0
         assert not rep.admissible
@@ -186,7 +186,7 @@ class TestLewyStampacchia:
         # substituting the upper envelope itself makes the obstacle branch of
         # the lower bound tight up to the viscous term
         spec, grid, cfg, pair, ref, res, eta = constrained
-        rep = lewy_stampacchia_check(pair.Phi, pair, spec, eta, (-4.0, 4.0),
+        rep = lewy_stampacchia_check(pair.Phi, pair, spec, (-4.0, 4.0),
                                      mu=0.0, ref=ref, slack=1e-9)
         from nlhet.discretize import second_difference, workspace_for
         ws = workspace_for(spec.kernel, grid)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from nlhet import discretize
 from nlhet.discretize import (Grid, Profile, WHOLE_LINE, Workspace,
-                              bilinear_form, operator_field, reference_profile,
-                              seminorm_K, strang_circulant, toeplitz_circulant,
+                              operator_field, reference_profile, seminorm_K,
+                              strang_circulant, toeplitz_circulant,
                               workspace_for)
 from nlhet.model import KernelSpec, reference_profile_eval
 
 from conftest import homogeneous_spec, layer, reference_on
-from oracles import (dense_nonlocal, dense_pair_sum, dense_row_sums,
-                     dense_seminorm_sq, dense_toeplitz_quad,
+from oracles import (bilinear_form, dense_nonlocal, dense_pair_sum,
+                     dense_row_sums, dense_seminorm_sq, dense_toeplitz_quad,
                      two_power_cell_masses)
 
 TWO_PI = 2 * math.pi
@@ -350,18 +350,23 @@ def _piecewise_linear(g: Grid, seed: int) -> Profile:
 
 
 class TestSeminormAndBilinear:
+    """seminorm_K on one interval; the cross-interval forms run on the
+    oracle's bilinear form."""
+
     def test_constant_is_zero(self):
         g = Grid(R=10.0, n=401)
         p = Profile.from_function(g, lambda x: np.full_like(x, 2.0))
-        assert seminorm_K(p, (-5, 5), (-2, 8), KER) == 0.0
+        assert seminorm_K(p, (-5, 5), KER) == 0.0
+        assert seminorm_K(p, WHOLE_LINE, KER) == 0.0
+        assert bilinear_form(p, p, (-5, 5), (-2, 8), KER) == 0.0
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_symmetry_in_arguments(self, seed):
         g = Grid(R=10.0, n=401)
         p = _piecewise_linear(g, seed)
-        a = seminorm_K(p, (-7, 2), (-1, 9), KER)
-        b = seminorm_K(p, (-1, 9), (-7, 2), KER)
+        a = bilinear_form(p, p, (-7, 2), (-1, 9), KER)
+        b = bilinear_form(p, p, (-1, 9), (-7, 2), KER)
         assert a == pytest.approx(b, abs=1e-12 * (1 + a))
 
     def test_bilinear_in_second_argument_constant(self):
@@ -373,15 +378,15 @@ class TestSeminormAndBilinear:
     def test_bilinear_diagonal_is_squared_seminorm(self):
         g = Grid(R=10.0, n=401)
         p = _piecewise_linear(g, 7)
-        bf = bilinear_form(p, p, (-4, 6), (-8, 2), KER)
-        sn = seminorm_K(p, (-4, 6), (-8, 2), KER)
-        assert bf == pytest.approx(sn ** 2, rel=1e-12)
+        for X in ((-4, 6), (-np.inf, 2), WHOLE_LINE):
+            bf = bilinear_form(p, p, X, X, KER)
+            assert bf == pytest.approx(seminorm_K(p, X, KER) ** 2, rel=1e-12)
 
     def test_reference_profile_matches_refined_oracle(self):
         spec = homogeneous_spec()
         g = Grid(R=50.0, n=10001)  # h = 0.01
         p = reference_on(spec, g)
-        val = seminorm_K(p, (-2, 2), (-2, 2), KER) ** 2
+        val = seminorm_K(p, (-2, 2), KER) ** 2
         f = lambda x: reference_profile_eval(spec.reference, x)
         oracle = dense_seminorm_sq(f, (-2, 2), (-2, 2), 0.5, 1 / math.pi,
                                    h=g.h / 10)
@@ -391,9 +396,9 @@ class TestSeminormAndBilinear:
         g = Grid(R=10.0, n=401)
         p = _piecewise_linear(g, 11)
         c = g.x[250] + g.h / 2  # split off-node for exclusive membership
-        whole = seminorm_K(p, (-10, 10), (-3, 3), KER) ** 2
-        left = seminorm_K(p, (-10, c), (-3, 3), KER) ** 2
-        right = seminorm_K(p, (c, 10), (-3, 3), KER) ** 2
+        whole = bilinear_form(p, p, (-10, 10), (-3, 3), KER)
+        left = bilinear_form(p, p, (-10, c), (-3, 3), KER)
+        right = bilinear_form(p, p, (c, 10), (-3, 3), KER)
         assert whole == pytest.approx(left + right, abs=1e-10 * (1 + whole))
 
     def test_mixed_term_bound_finite(self):
@@ -409,95 +414,69 @@ class TestSeminormAndBilinear:
             vals = np.concatenate([[0], rng.uniform(-1, 1, 4), [0]])
             v = Profile(g, np.interp(g.x, knots, vals, left=0, right=0), 0.0, 0.0)
             B = bilinear_form(v, ref, WHOLE_LINE, WHOLE_LINE, KER)
-            vk = seminorm_K(v, WHOLE_LINE, WHOLE_LINE, KER)
+            vk = seminorm_K(v, WHOLE_LINE, KER)
             vl2 = math.sqrt(float(np.sum(v.values ** 2)) * g.h)
             if vk + vl2 > 0:
                 worst = max(worst, abs(B) / (refC1 * (vk + vl2)))
         assert 0 < worst < np.inf
 
 
-def _four_conv_pair_sum(ws, f, g, mx, my):
-    """The masked pair sum with its four convolutions written out; an
-    all-true mask convolves to the row sums ``ws.rho``."""
-    f = f - f.mean()
-    g = g - g.mean()
-    cx = mx.astype(np.float64)
-    cy = my.astype(np.float64)
-    t1 = np.sum(f * g * cx * (ws.rho if my.all() else ws.conv(cy)))
-    t2 = np.sum(f * g * cy * (ws.rho if mx.all() else ws.conv(cx)))
-    t3 = np.sum(f * cx * ws.conv(g * cy))
-    t4 = np.sum(g * cx * ws.conv(f * cy))
-    return float(t1 + t2 - t3 - t4)
-
-
 class TestSharedConvolutions:
-    """bilinear_form shares convolutions between coinciding terms of the
-    masked pair sum; the value stays the four-convolution sum (with ``rho``
-    for an all-true mask), bit for bit, except for a whole-line seminorm,
-    which runs no convolution at all."""
+    """seminorm_K evaluates the oracle's four-convolution sum B(f, f, X, X)
+    with its coinciding terms shared: two convolutions and the same value,
+    bit for bit, on an interval short of the window, and no convolution at
+    all, by Parseval, on an interval that holds every node."""
 
     G = Grid(R=10.0, n=401)
 
-    def _bump(self, seed):
+    def _bump(self, seed, left=0.0, right=0.0):
+        # a Gaussian bump on a smooth step from ``left`` to ``right``
         rng = np.random.default_rng(seed)
         x = self.G.x
-        vals = np.exp(-(x - rng.uniform(-3, 3)) ** 2) * rng.uniform(0.5, 2)
-        return Profile(self.G, vals, 0.0, 0.0)
+        vals = (np.exp(-(x - rng.uniform(-3, 3)) ** 2) * rng.uniform(0.5, 2)
+                + left + (right - left) * (1 + np.tanh(x)) / 2)
+        return Profile(self.G, vals, left, right)
 
-    def _add_tails(self, total, ws, f, g, mI):
-        # window x tail blocks of a whole-line form, far fields 0
-        h = self.G.h
-        for _ in range(2):
-            total += h * float(np.sum((f.values * g.values * ws.Wl)[mI]))
-            total += h * float(np.sum((f.values * g.values * ws.Wr)[mI]))
-        return total
-
-    def _expected(self, f, g, I, J):
-        ws = workspace_for(KER, self.G)
-        x, h = self.G.x, self.G.h
-        mI = (x >= I[0] - 1e-9 * h) & (x <= I[1] + 1e-9 * h)
-        mJ = (x >= J[0] - 1e-9 * h) & (x <= J[1] + 1e-9 * h)
-        total = h * _four_conv_pair_sum(ws, f.values, g.values, mI, mJ)
-        if I == J == WHOLE_LINE:
-            total = self._add_tails(total, ws, f, g, mI)
-        return total
-
-    def _count(self, monkeypatch, f, g, I, J):
+    def _count(self, monkeypatch, f, X):
         workspace_for(KER, self.G)   # build before counting
         calls = []
         conv = Workspace.conv
         monkeypatch.setattr(Workspace, "conv",
                             lambda ws, v: calls.append(1) or conv(ws, v))
-        value = bilinear_form(f, g, I, J, KER)
+        value = seminorm_K(f, X, KER)
         monkeypatch.undo()
         return value, len(calls)
 
-    def _exact_seminorm(self, f):
+    @pytest.mark.parametrize("X", [(-4.0, 6.0), (-np.inf, 5.0), (5.0, np.inf)])
+    def test_equals_four_convolution_sum(self, monkeypatch, X):
+        f = self._bump(1, left=0.25, right=-0.5)
+        value, count = self._count(monkeypatch, f, X)
+        assert value == math.sqrt(max(bilinear_form(f, f, X, X, KER), 0.0))
+        assert count == 2
+
+    @pytest.mark.parametrize("X", [WHOLE_LINE, (-10.0, 10.0)])
+    def test_every_node_runs_no_convolution(self, monkeypatch, X):
+        # 2 (sum f^2 rho - quad(f)) by Parseval, plus the tail blocks of
+        # the unbounded ends: measured 2.2e-15 relative to the exactly
+        # summed pair sum
+        f = self._bump(1, left=0.25, right=0.25)
+        value, count = self._count(monkeypatch, f, X)
         ws = workspace_for(KER, self.G)
         fc = f.values - f.values.mean()
         every = np.ones(self.G.n, bool)
-        return self._add_tails(
-            self.G.h * dense_pair_sum(ws.w, fc, fc, every, every), ws, f, f, every)
+        exact = self.G.h * dense_pair_sum(ws.w, fc, fc, every, every)
+        if X == WHOLE_LINE:
+            d = f.values - 0.25
+            exact += 2 * self.G.h * float(np.sum(d * d * (ws.Wl + ws.Wr)))
+        assert value ** 2 == pytest.approx(exact, rel=1e-14)
+        assert count == 0
 
-    @pytest.mark.parametrize("I, J, same_f, convs", [
-        (WHOLE_LINE, WHOLE_LINE, True, 0),
-        ((-4.0, 6.0), (-4.0, 6.0), True, 2),
-        ((-4.0, 6.0), (-8.0, 2.0), True, 4),
-        ((-4.0, 6.0), (-8.0, 2.0), False, 4),
-        ((-4.0, 6.0), (-4.0, 6.0), False, 3),
-        (WHOLE_LINE, WHOLE_LINE, False, 2),
-    ])
-    def test_equals_four_convolution_sum(self, monkeypatch, I, J, same_f, convs):
-        f = self._bump(1)
-        g = f if same_f else self._bump(2)
-        value, count = self._count(monkeypatch, f, g, I, J)
-        if convs == 0:
-            # a whole-line seminorm, 2 (sum f^2 rho - quad(f)) by Parseval:
-            # measured 2.2e-15 relative to the exactly summed pair sum
-            assert value == pytest.approx(self._exact_seminorm(f), rel=1e-14)
-        else:
-            assert value == self._expected(f, g, I, J)
-        assert count == convs
+    def test_whole_line_diverges_for_unequal_far_fields(self, monkeypatch):
+        f = self._bump(1, left=0.25, right=-0.5)
+        value, count = self._count(monkeypatch, f, WHOLE_LINE)
+        assert value == math.inf
+        assert bilinear_form(f, f, WHOLE_LINE, WHOLE_LINE, KER) == math.inf
+        assert count == 0
 
     @pytest.mark.parametrize("s", [0.3, 0.5])
     def test_row_sums_are_conv_of_ones_up_to_round_off(self, s):
@@ -507,10 +486,3 @@ class TestSharedConvolutions:
         ws = workspace_for(KernelSpec(s=s), self.G)
         conv = ws.conv(np.ones(self.G.n))
         assert np.all(np.abs(ws.rho - conv) <= 1e-15 * ws.rho)
-
-    def test_equal_values_in_distinct_profiles_run_no_convolution(self, monkeypatch):
-        f = self._bump(1)
-        g = Profile(self.G, f.values.copy(), 0.0, 0.0)
-        value, count = self._count(monkeypatch, f, g, WHOLE_LINE, WHOLE_LINE)
-        assert value == pytest.approx(self._exact_seminorm(f), rel=1e-14)
-        assert count == 0

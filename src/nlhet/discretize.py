@@ -13,13 +13,11 @@ the +-m node pairs and the residual even part cancels against the midpoint
 bias of the neighboring cells (order >= 2-2s overall, measured by the
 refinement tests).  Outside the window the profile is its far-field
 constants, so the exterior enters only through the tail moments
-Wl/Wr = int K beyond each window edge.  The kernel fixes that closure:
-power-law kernels have closed-form moments; a tabulated kernel has none, and
-its tails are truncated to zero.  For power-law kernels the tail moments T
-at the cell edges h/2, 3h/2, ... give everything: cell masses are their
-differences, and the row sums telescope to rho = 2 T(h/2) - Wl - Wr, so
-the diagonal rho + Wl + Wr is 2 T(h/2); only a tabulated kernel convolves
-``ones``.
+Wl/Wr = int K beyond each window edge, which every kernel form has in
+closed form.  The tail moments T at the cell edges h/2, 3h/2, ... give
+everything: cell masses are their differences, and the row sums telescope
+to rho = 2 T(h/2) - Wl - Wr, so the diagonal rho + Wl + Wr is 2 T(h/2) and
+no workspace build runs a convolution.
 
 All weights depend only on |i - j|, so operator application and the
 seminorm reduce to Toeplitz convolutions, evaluated by FFT with a fixed
@@ -36,14 +34,13 @@ preconditioner (Strang, Stud. Appl. Math. 74, 1986).
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._record import record
-from .model import (KernelSpec, ProblemSpec, kernel_eval, potential_eval_grad,
+from .model import (KernelSpec, ProblemSpec, potential_eval_grad,
                     reference_profile_eval)
 
 __all__ = [
@@ -133,23 +130,13 @@ def reference_profile(spec: ProblemSpec, grid: Grid) -> Profile:
 
 
 # --------------------------------------------------------------------------
-# kernel cell masses and workspace
+# kernel tail moments and workspace
 # --------------------------------------------------------------------------
 
 
-def _cell_masses(ker: KernelSpec, h: float, mmax: int) -> np.ndarray:
-    """Midpoint cell masses h K(m h), m = 1..mmax, of a tabulated kernel
-    (it has no antiderivative); zero off the table."""
-    m = np.arange(1, mmax + 1, dtype=np.float64)
-    vals = np.zeros_like(m)
-    inside = (m * h >= ker.table_r[0]) & (m * h <= ker.table_r[-1])
-    vals[inside] = np.asarray(kernel_eval(ker, m[inside] * h)) * h
-    return vals
-
-
 def _tail_moment(ker: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """int_t^inf K, elementwise, t > 0 (power and truncated power kernels);
-    exactly 0 for t >= r0 on a truncated kernel."""
+    """int_t^inf K, elementwise, t > 0; exactly 0 for t >= r0 on a
+    truncated kernel."""
     t = np.asarray(t, dtype=np.float64)
     e = -2.0 * ker.s
     if ker.form == "power":
@@ -208,12 +195,10 @@ class Workspace:
 
     ``w[m-1]`` is the kernel mass of the cell at node offset m; ``rho`` the
     row sums; ``Wl``/``Wr`` the tail moments from each node to the exterior;
-    ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.  A power
-    or truncated power kernel takes all four from T[j] = int K beyond
-    (j + 1/2) h: w = T[:-1] - T[1:], Wl = T, Wr = T reversed (a view), and
-    the row sums telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).
-    A tabulated kernel has midpoint masses, zero tails (with a warning) and
-    rho = conv(ones), the only convolution a build runs.
+    ``diag = rho + Wl + Wr`` the diagonal of the operator matrix.  All four
+    come from T[j] = int K beyond (j + 1/2) h, with no convolution:
+    w = T[:-1] - T[1:], Wl = T, Wr = T reversed (a view), and the row sums
+    telescope to rho = 2 T[0] - Wl - Wr (so diag = 2 T(h/2)).
     ``toeplitz`` is the circulant embedding of the weights (length 16384 at
     n = 8001): ``conv(f)[i] = sum_j w_{|i-j|} f_j`` (with w_0 = 0), and
     ``quad(f) = f . conv(f)`` is its Parseval sum over one forward transform.
@@ -222,21 +207,12 @@ class Workspace:
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.kernel, self.grid = kernel, grid
         n, h = grid.n, grid.h
-        if kernel.form == "tabulated":
-            logging.getLogger("nlhet").warning(
-                "tabulated kernel: exterior tails are truncated to zero")
-            self.w = _cell_masses(kernel, h, n - 1)
-            self.Wl = np.zeros(n)
-            self.Wr = np.zeros(n)
-        else:
-            T = _tail_moment(kernel, (np.arange(n) + 0.5) * h)
-            self.w = T[:-1] - T[1:]
-            self.Wl = T
-            self.Wr = T[::-1]
-            self.rho = 2.0 * T[0] - self.Wl - self.Wr
+        T = _tail_moment(kernel, (np.arange(n) + 0.5) * h)
+        self.w = T[:-1] - T[1:]
+        self.Wl = T
+        self.Wr = T[::-1]
+        self.rho = 2.0 * T[0] - self.Wl - self.Wr
         self.toeplitz = toeplitz_circulant(self.w, n)
-        if kernel.form == "tabulated":
-            self.rho = self.conv(np.ones(n))
         self.diag = self.rho + self.Wl + self.Wr
 
     def conv(self, f: np.ndarray) -> np.ndarray:
@@ -254,14 +230,14 @@ class Workspace:
         p *= self.toeplitz.lam
         return (2.0 * float(np.sum(p[1:-1])) + float(p[0]) + float(p[-1])) / L
 
+    def seminorm_sq(self, v: np.ndarray, cv: np.ndarray) -> float:
+        """Whole-line [v]^2_K of a v with zero far fields, given the held
+        cv = conv(v): 2 h (sum v^2 diag - sum v cv), no convolution."""
+        return 2 * self.grid.h * (float(np.sum(v * v * self.diag))
+                                  - float(np.sum(v * cv)))
+
 
 _WS_CACHE: dict = {}
-
-
-def _kernel_key(ker: KernelSpec):
-    if ker.form == "tabulated":
-        return (ker.form, ker.s, ker.table_r.tobytes(), ker.table_K.tobytes())
-    return (ker.form, ker.s, ker.c, ker.r0)
 
 
 def workspace_for(kernel: KernelSpec, grid: Grid) -> Workspace:
@@ -271,7 +247,7 @@ def workspace_for(kernel: KernelSpec, grid: Grid) -> Workspace:
     is built: a solve or diagnose works on one grid, and bench-appendix
     never revisits one of its grids, so a larger cache only holds memory.
     """
-    key = (_kernel_key(kernel), grid.R, grid.n)
+    key = ((kernel.form, kernel.s, kernel.c, kernel.r0), grid.R, grid.n)
     ws = _WS_CACHE.get(key)
     if ws is None:
         _WS_CACHE.clear()

@@ -65,49 +65,31 @@ class KernelSpec:
       * ``truncated_power``: K(r) = c/|r|^(1+2s) on |r| <= r0 and 0 beyond
         (the lower ellipticity bound only bites on [0, r0], so a compactly
         supported power kernel is admissible).
-      * ``tabulated``: user-supplied even density sampled at ``table_r`` > 0,
-        interpolated in log-log; queries beyond the table raise.
+    Both have closed-form tail moments, which fix the exterior closure.
     """
 
     s: float
-    form: str = "power"  # power | truncated_power | tabulated
+    form: str = "power"  # power | truncated_power
     c: Optional[float] = None
     theta0: Optional[float] = None
     Theta0: Optional[float] = None
     r0: float = 1.0
-    table_r: Optional[np.ndarray] = None
-    table_K: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (0.25 < self.s <= 0.5):
             raise ValueError(f"exponent s={self.s} outside (1/4, 1/2]")
         if self.r0 <= 0:
             raise ValueError("truncation radius r0 must be > 0")
-        if self.form not in ("power", "truncated_power", "tabulated"):
+        if self.form not in ("power", "truncated_power"):
             raise ValueError(f"unknown kernel form {self.form!r}")
-        if self.form == "tabulated":
-            if self.table_r is None or self.table_K is None:
-                raise ValueError("tabulated kernel needs table_r and table_K")
-            tr = np.asarray(self.table_r, float)
-            tK = np.asarray(self.table_K, float)
-            if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(tK))):
-                raise ValueError("tabulated kernel table holds a non-finite value")
-            if tr.ndim != 1 or tr.size < 2 or np.any(tr <= 0) or np.any(np.diff(tr) <= 0):
-                raise ValueError("table_r must be increasing and positive")
-            if np.any(tK < 0):
-                raise ValueError("tabulated kernel density must be nonnegative")
-            object.__setattr__(self, "table_r", tr)
-            object.__setattr__(self, "table_K", tK)
-        else:
-            if self.c is None:
-                object.__setattr__(self, "c", natural_halfspace_constant(self.s))
+        if self.c is None:
+            object.__setattr__(self, "c", natural_halfspace_constant(self.s))
         if self.theta0 is None:
-            object.__setattr__(self, "theta0", self.c if self.form != "tabulated" else None)
+            object.__setattr__(self, "theta0", self.c)
         if self.Theta0 is None:
-            object.__setattr__(self, "Theta0", self.c if self.form != "tabulated" else None)
-        if self.theta0 is not None and self.Theta0 is not None:
-            if not (0 < self.theta0 <= self.Theta0):
-                raise ValueError("need 0 < theta0 <= Theta0")
+            object.__setattr__(self, "Theta0", self.c)
+        if not (0 < self.theta0 <= self.Theta0):
+            raise ValueError("need 0 < theta0 <= Theta0")
 
 
 def kernel_eval(spec: KernelSpec, r) -> np.ndarray:
@@ -118,15 +100,8 @@ def kernel_eval(spec: KernelSpec, r) -> np.ndarray:
     ar = np.abs(r)
     if spec.form == "power":
         out = spec.c * ar ** (-1.0 - 2.0 * spec.s)
-    elif spec.form == "truncated_power":
-        out = np.where(ar <= spec.r0, spec.c * ar ** (-1.0 - 2.0 * spec.s), 0.0)
     else:
-        tr, tK = spec.table_r, spec.table_K
-        if np.any(ar < tr[0]) or np.any(ar > tr[-1]):
-            raise ValueError("tabulated kernel queried outside its table")
-        out = np.exp(np.interp(np.log(ar), np.log(tr),
-                               np.log(np.maximum(tK, 1e-300))))
-        out = np.where(np.interp(ar, tr, tK) <= 0, 0.0, out)
+        out = np.where(ar <= spec.r0, spec.c * ar ** (-1.0 - 2.0 * spec.s), 0.0)
     return out if out.shape else float(out)
 
 
@@ -149,33 +124,22 @@ class PotentialSpec:
 
     zeta1: float
     zeta2: float
-    form: str = "cosine"  # cosine | quartic | tabulated
+    form: str = "cosine"  # cosine | quartic
     amplitude: float = 1.0
     delta0: Optional[float] = None
     c0: Optional[float] = None
     C0_growth: Optional[float] = None
-    table_u: Optional[np.ndarray] = None
-    table_W: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.zeta1 == self.zeta2:
             raise ValueError("wells must be distinct")
-        if self.form not in ("cosine", "quartic", "tabulated"):
+        if self.form not in ("cosine", "quartic"):
             raise ValueError(f"unknown potential form {self.form!r}")
         L = abs(self.zeta2 - self.zeta1)
         if self.delta0 is None:
             object.__setattr__(self, "delta0", L / 2.0)  # half the well separation
         if self.delta0 <= 0 or self.delta0 > L / 2.0 + 1e-12:
             raise ValueError("delta0 must lie in (0, half well separation]")
-        if self.form == "tabulated":
-            if self.table_u is None or self.table_W is None:
-                raise ValueError("tabulated potential needs table_u and table_W")
-            tu = np.asarray(self.table_u, float)
-            tW = np.asarray(self.table_W, float)
-            if tu.ndim != 1 or tu.size < 4 or np.any(np.diff(tu) <= 0):
-                raise ValueError("table_u must be increasing")
-            object.__setattr__(self, "table_u", tu)
-            object.__setattr__(self, "table_W", tW)
         if self.c0 is None or self.C0_growth is None:
             c0, C0 = self._default_growth_constants()
             if self.c0 is None:
@@ -192,21 +156,9 @@ class PotentialSpec:
             k = 2 * math.pi / L
             lo = self.amplitude * (1 - math.cos(k * self.delta0)) / self.delta0 ** 2
             return lo, self.amplitude * k * k / 2
-        if self.form == "quartic":
-            q = 16.0 * self.amplitude / L ** 4
-            return q * (L - self.delta0) ** 2, q * L * L
-        # tabulated: estimate by sampling near the wells
-        xi = np.linspace(1e-4, self.delta0, 200)
-        ratios = []
-        for z in (self.zeta1, self.zeta2):
-            for sgn in (+1, -1):
-                W, _ = potential_eval_grad(
-                    PotentialSpec(self.zeta1, self.zeta2, self.form, self.amplitude,
-                                  self.delta0, 1.0, 1.0, self.table_u, self.table_W),
-                    z + sgn * xi)
-                ratios.append(W / xi ** 2)
-        ratios = np.concatenate(ratios)
-        return float(ratios.min()), float(ratios.max())
+        # quartic: W(zeta+xi)/xi^2 = q (L -+ xi)^2, inward or outward
+        q = 16.0 * self.amplitude / L ** 4
+        return q * (L - self.delta0) ** 2, q * (L + self.delta0) ** 2
 
     @property
     def well_lo(self) -> float:
@@ -226,44 +178,26 @@ def potential_eval_grad(spec: PotentialSpec, u) -> Tuple[np.ndarray, np.ndarray]
         # 2 sin^2(ang/2) = 1 - cos(ang), stable against cancellation near wells
         W = spec.amplitude * 2.0 * np.sin(ang / 2.0) ** 2
         Wp = spec.amplitude * (2 * math.pi / L) * np.sin(ang)
-    elif spec.form == "quartic":
+    else:
         q = 16.0 * spec.amplitude / abs(L) ** 4
         W = q * (u - spec.zeta1) ** 2 * (u - spec.zeta2) ** 2
         Wp = 2 * q * (u - spec.zeta1) * (u - spec.zeta2) * (2 * u - spec.zeta1 - spec.zeta2)
-    else:
-        tu, tW = spec.table_u, spec.table_W
-        if np.any(u < tu[0]) or np.any(u > tu[-1]):
-            raise ValueError("tabulated potential queried outside its table")
-        W = np.interp(u, tu, tW)
-        # centered difference of the interpolant; one-sided at the table edges
-        du = 1e-6 * max(1.0, abs(L))
-        up = np.minimum(u + du, tu[-1])
-        um = np.maximum(u - du, tu[0])
-        Wp = (np.interp(up, tu, tW) - np.interp(um, tu, tW)) / (up - um)
     if W.shape:
         return W, Wp
     return float(W), float(Wp)
 
 
 def potential_hess(spec: PotentialSpec, u) -> np.ndarray:
-    """W''(u): analytic for the cosine and quartic forms, a centered
-    difference of W' for the tabulated one."""
+    """W''(u), analytic."""
     u = np.asarray(u, dtype=float)
     L = spec.zeta2 - spec.zeta1
     if spec.form == "cosine":
         k = 2 * math.pi / L
         Wpp = spec.amplitude * k * k * np.cos(k * (u - spec.zeta1))
-    elif spec.form == "quartic":
+    else:
         q = 16.0 * spec.amplitude / abs(L) ** 4
         Wpp = 2 * q * ((2 * u - spec.zeta1 - spec.zeta2) ** 2
                        + 2 * (u - spec.zeta1) * (u - spec.zeta2))
-    else:
-        tu = spec.table_u
-        du = 1e-4 * max(1.0, abs(L))
-        up = np.minimum(u + du, tu[-1])
-        um = np.maximum(u - du, tu[0])
-        Wpp = (potential_eval_grad(spec, up)[1]
-               - potential_eval_grad(spec, um)[1]) / (up - um)
     return Wpp if Wpp.shape else float(Wpp)
 
 
@@ -283,7 +217,7 @@ class ModulationSpec:
     asserted (the constant-modulation case).
     """
 
-    form: str = "constant"  # constant | cosine | tabulated
+    form: str = "constant"  # constant | cosine
     base: float = 1.0
     eps: float = 0.0
     delta_freq: float = 1.0
@@ -294,19 +228,10 @@ class ModulationSpec:
     gamma: float = 0.0
     a_lower: Optional[float] = None
     a_upper: Optional[float] = None
-    table_x: Optional[np.ndarray] = None
-    table_a: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.form not in ("constant", "cosine", "tabulated"):
+        if self.form not in ("constant", "cosine"):
             raise ValueError(f"unknown modulation form {self.form!r}")
-        if self.form == "tabulated":
-            if self.table_x is None or self.table_a is None:
-                raise ValueError("tabulated modulation needs table_x and table_a")
-            tx = np.asarray(self.table_x, float)
-            ta = np.asarray(self.table_a, float)
-            object.__setattr__(self, "table_x", tx)
-            object.__setattr__(self, "table_a", ta)
         lo, hi = self._default_range()
         if self.a_lower is None:
             object.__setattr__(self, "a_lower", lo)
@@ -320,18 +245,14 @@ class ModulationSpec:
     def _default_range(self) -> Tuple[float, float]:
         if self.form == "constant":
             return self.base, self.base
-        if self.form == "cosine":
-            return self.base - abs(self.eps), self.base + abs(self.eps)
-        return float(np.min(self.table_a)), float(np.max(self.table_a))
+        return self.base - abs(self.eps), self.base + abs(self.eps)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.form == "constant":
             out = np.full_like(x, self.base)
-        elif self.form == "cosine":
-            out = self.base + self.eps * np.cos(self.delta_freq * x)
         else:
-            out = np.interp(x, self.table_x, self.table_a)
+            out = self.base + self.eps * np.cos(self.delta_freq * x)
         return out if out.shape else float(out)
 
 
@@ -468,28 +389,24 @@ def verify_model(spec: ProblemSpec, sample_count: int = 10000) -> ValidationRepo
 
     # -- kernel: evenness and ellipticity sandwich on log-spaced radii
     r = np.logspace(-6, 1, sample_count)
-    try:
-        Kp = np.asarray(kernel_eval(ker, r))
-        Km = np.asarray(kernel_eval(ker, -r))
-        even_gap = float(np.max(np.abs(Kp - Km)))
-        i_even = int(np.argmax(np.abs(Kp - Km)))
-        checks.append(CheckResult("kernel.even", even_gap <= 1e-12 * (1 + Kp.max()),
-                                  -even_gap, r[i_even]))
-        if ker.theta0 is not None:
-            pw = r ** (1.0 + 2.0 * ker.s)
-            prod = Kp * pw
-            lower = np.where(r <= ker.r0, ker.theta0, 0.0)
-            sl_k = _REL_SLACK * max(1.0, ker.Theta0)
-            lo_m = float(np.min(prod - lower))
-            hi_m = float(np.min(ker.Theta0 - prod))
-            i_lo = int(np.argmin(prod - lower))
-            i_hi = int(np.argmin(ker.Theta0 - prod))
-            checks.append(CheckResult("kernel.lower_ellipticity",
-                                      lo_m >= -sl_k, lo_m, r[i_lo]))
-            checks.append(CheckResult("kernel.upper_ellipticity",
-                                      hi_m >= -sl_k, hi_m, r[i_hi]))
-    except ValueError as e:
-        checks.append(CheckResult("kernel.evaluable", False, -1.0, 0.0, str(e)))
+    Kp = np.asarray(kernel_eval(ker, r))
+    Km = np.asarray(kernel_eval(ker, -r))
+    even_gap = float(np.max(np.abs(Kp - Km)))
+    i_even = int(np.argmax(np.abs(Kp - Km)))
+    checks.append(CheckResult("kernel.even", even_gap <= 1e-12 * (1 + Kp.max()),
+                              -even_gap, r[i_even]))
+    pw = r ** (1.0 + 2.0 * ker.s)
+    prod = Kp * pw
+    lower = np.where(r <= ker.r0, ker.theta0, 0.0)
+    sl_k = _REL_SLACK * max(1.0, ker.Theta0)
+    lo_m = float(np.min(prod - lower))
+    hi_m = float(np.min(ker.Theta0 - prod))
+    i_lo = int(np.argmin(prod - lower))
+    i_hi = int(np.argmin(ker.Theta0 - prod))
+    checks.append(CheckResult("kernel.lower_ellipticity",
+                              lo_m >= -sl_k, lo_m, r[i_lo]))
+    checks.append(CheckResult("kernel.upper_ellipticity",
+                              hi_m >= -sl_k, hi_m, r[i_hi]))
     checks.append(CheckResult("kernel.exponent_range",
                               0.25 < ker.s <= 0.5, min(ker.s - 0.25, 0.5 - ker.s), ker.s))
 

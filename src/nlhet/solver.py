@@ -269,7 +269,7 @@ class _Stage:
         visc = 0.5 * self.eta * float(np.sum(dv * dv)) * h
         pen = 0.5 * self.mu * float(np.sum(v ** 2 * core.tw))
         pot = float(np.sum(self.a * W * core.tw))
-        svv = self.seminorm_sq(v, cv)
+        svv = self.ws.seminorm_sq(v, cv)
         svr = 2 * h * float(np.sum(v * core.w_ref))
         inter = 0.25 * (svv + 2.0 * svr)
         pieces = (visc, pen, pot, inter)
@@ -279,11 +279,6 @@ class _Stage:
                     f"non-finite {term} energy ({val}) at a trial point "
                     f"(eta={self.eta:g}, mu={self.mu:g})", term)
         return pieces, (cv, Wp)
-
-    def seminorm_sq(self, v: np.ndarray, cv: np.ndarray) -> float:
-        """Whole-line [v]^2_K of a v with zero far fields, given cv = conv(v)."""
-        return 2 * self.h * (float(np.sum(v * v * self.ws.diag))
-                             - float(np.sum(v * cv)))
 
     def evaluate(self, q: np.ndarray) -> Tuple[Tuple[float, float, float, float],
                                                np.ndarray]:
@@ -383,7 +378,8 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     Each trial point is evaluated once, and the accepted trial's
     convolution and W' give the next iterate's gradient.  CG iterations add
     up in ``stage.cg``.  Trace rows are numbered on from the rows ``trace``
-    already holds.
+    already holds.  The record's stationarity is that of the returned q,
+    also when the stage ends on ``max_iters``.
     """
     t0 = time.perf_counter()
     iter_offset = len(trace)
@@ -392,8 +388,6 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
     q[0], q[-1] = q0[0], q0[-1]
     pieces, g = stage.evaluate(q)
     E = sum(pieces)
-    rn = math.inf
-    it = 0
     for it in range(1, solver_cfg.max_iters + 1):
         r = q - stage.project(q - g)
         rn = float(np.linalg.norm(r))
@@ -427,6 +421,8 @@ def _run_stage(stage: _Stage, q0: np.ndarray, solver_cfg: SolverConfig,
                 f"(iteration {it}, stationarity {rn:.3e}, step {alpha:.3e})",
                 it, rn, alpha)
         q, E, pieces, g = qt, Et, pt, stage.gradient(qt, parts)
+    else:  # max_iters ran out after a step: measure the q it returns
+        rn = float(np.linalg.norm(q - stage.project(q - g)))
     contact = _contact_nodes(q, stage.pair)
     if stage.pair is not None:
         _assert_barrier_comparison(q, stage.pair)
@@ -489,8 +485,9 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     residual belong to the unperturbed (0, 0) problem, evaluated once after
     the last stage.  Everything, the resume input, the callback's values and
     the result, is in the caller's orientation (left far field zeta1).
-    Raises NonConvergenceError, naming each side's deviation, when the
-    far-field limit check fails on the final profile.  After each stage
+    Raises NonConvergenceError when the polish ends on ``max_iters`` above
+    its ``grad_tol``, and, naming each side's deviation, when the far-field
+    limit check fails on the final profile.  After each stage
     ``stage_callback`` receives new (stage records, trace rows, Q values);
     ``resume`` = any such triple runs the remaining stages like a fresh run.
     """
@@ -521,10 +518,15 @@ def continuation_run(spec: ProblemSpec, grid: Grid,
     pairs = {eta: barrier_pair(spec, obstacle_cfg, grid, eta) for eta in
              dict.fromkeys([eta for mu, eta in todo if mu > 0] + [0.0])}
     core = _Core(spec, grid, ref)
+    gtol = solver_cfg.resolve_grad_tol(grid.n)
     for mu, eta in todo:
         pair = pairs[eta] if mu > 0 else None
         q, _, record = _run_stage(_Stage(core, eta, mu, pair), q, solver_cfg,
                                   trace)
+        if mu == 0 and record.stationarity > gtol:
+            raise NonConvergenceError(
+                f"polish stopped at max_iters = {solver_cfg.max_iters} with "
+                f"stationarity {record.stationarity:.3e} > grad_tol {gtol:.3e}")
         stages.append(record)
         if stage_callback is not None:
             stage_callback(list(stages), list(trace), q)

@@ -62,7 +62,7 @@ def verify_apriori_bounds(Q: Profile, spec: ProblemSpec,
     # four times the stage's interaction piece, from one trial
     stage = _Stage(_Core(spec, grid, ref), 0.0, 0.0, None)
     pieces, (cv, _) = stage.trial(Q.values)
-    vk = math.sqrt(max(stage.seminorm_sq(v, cv), 0.0))
+    vk = math.sqrt(max(stage.ws.seminorm_sq(v, cv), 0.0))
     vinf = float(np.abs(v).max())
     vl2 = math.sqrt(float(np.sum(v * v)) * h)
     e2 = 4.0 * pieces[3]

@@ -1,4 +1,5 @@
 import base64
+import configparser
 import glob
 import hashlib
 import json
@@ -122,6 +123,22 @@ def _with_value_at_origin(profile_path, tmp_path, column, value):
     return _write(tmp_path, "bad_profile.csv", "\n".join(lines) + "\n")
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
+
+
+def _with_form(tmp_path, base, section, form):
+    """A copy of ``configs/<base>.ini`` with ``[section] form = form``."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.optionxform = str
+    cp.read(os.path.join(CONFIGS, base + ".ini"))
+    cp[section]["form"] = form
+    path = tmp_path / f"{base}_{section}_{form}.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return str(path)
+
+
 class TestVerifyModel:
     def test_footnote_passes(self, tmp_path):
         cfg = _write(tmp_path, "m.ini", CONFIG_FOOTNOTE)
@@ -216,6 +233,28 @@ class TestVerifyModel:
         cfg = _write(tmp_path, "m.ini", "[kernel]\nform = powerlaw\n")
         assert main(["verify-model", cfg]) == 2
         assert "powerlaw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, section, form", [
+        ("homogeneous", "kernel", "power"),
+        ("homogeneous", "kernel", "truncated_power"),
+        ("homogeneous", "potential", "cosine"),
+        ("homogeneous", "potential", "quartic"),
+        ("homogeneous", "modulation", "constant"),
+        ("modulated", "modulation", "cosine"),
+    ])
+    def test_every_form_verifies_from_a_config(self, tmp_path, base, section,
+                                               form):
+        # the quartic case needs a default C0_growth that bounds W/xi^2 on
+        # the outward side of each well too
+        cfg = _with_form(tmp_path, base, section, form)
+        assert main(["verify-model", cfg]) == 0
+
+    @pytest.mark.parametrize("section", ["kernel", "potential", "modulation"])
+    def test_tabulated_form_usage_error(self, tmp_path, capsys, section):
+        cfg = _with_form(tmp_path, "homogeneous", section, "tabulated")
+        assert main(["verify-model", cfg]) == 2
+        assert (f"unknown {section} form 'tabulated'"
+                in capsys.readouterr().err)
 
     def test_missing_config_env_error(self, tmp_path):
         assert main(["verify-model", str(tmp_path / "no.ini")]) == 3
@@ -416,6 +455,18 @@ class TestSolve:
             assert (f"{s['iterations']} iterations, {s['trials']} trials, "
                     f"{s['cg']} cg, {s['contact_count']} contact, ") in line
             assert line.endswith(" s")
+
+    def test_polish_on_max_iters_exits_one(self, tmp_path, capsys):
+        # at max_iters = 1 the polish stops above its grad_tol; the six
+        # mu > 0 stages stay checkpointed, the polish does not
+        cfg = _write(tmp_path, "m.ini",
+                     CONFIG_SMALL + "\n[solver]\nmax_iters = 1\n")
+        out = tmp_path / "out"
+        assert main(["solve", cfg, "--out", str(out)]) == 1
+        assert "polish stopped at max_iters = 1" in capsys.readouterr().err
+        ck = json.loads((out / "checkpoint.json").read_text())
+        assert len(ck["stages"]) == 6
+        assert not (out / "profile.csv").exists()
 
     def test_deterministic_outputs(self, solved, tmp_path):
         code, tmp, cfg, out = solved

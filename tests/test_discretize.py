@@ -148,7 +148,6 @@ class TestStrangSymbol:
                 assert err <= 1e-14 * np.max(np.abs(alone))
 
 
-_TABLE_R = np.geomspace(1e-4, 50, 400)
 BUILD_KERNELS = {
     "power": KER,
     "power_s0.3": KernelSpec(s=0.3),
@@ -156,24 +155,21 @@ BUILD_KERNELS = {
                                    r0=3.0),
     "truncated_below_half_cell": KernelSpec(s=0.4, form="truncated_power",
                                             c=1.0, r0=0.02),
-    "tabulated": KernelSpec(s=0.5, form="tabulated", table_r=_TABLE_R,
-                            table_K=(1 / math.pi) / _TABLE_R ** 2,
-                            theta0=0.9 / math.pi, Theta0=1.1 / math.pi),
 }
 
 
 class TestWorkspaceBuild:
-    """Power-form workspaces come from one array of tail moments: the cell
+    """Every workspace comes from one array of tail moments: the cell
     masses are its differences and the row sums telescope to
-    2 T(h/2) - Wl - Wr.  Only a tabulated kernel convolves ``ones``."""
+    2 T(h/2) - Wl - Wr, so a build runs no convolution."""
 
     G = Grid(R=10.0, n=401)   # h = 0.05
 
     @pytest.mark.parametrize("name", list(BUILD_KERNELS))
     def test_row_sums_match_dense_oracle(self, name):
-        # measured max relative error 3.6e-16 (tabulated), <= 1.7e-16 for
-        # the power forms (conv(ones) measured up to 6.1e-16 on this grid);
-        # with r0 < h/2 the oracle is 0 and rho must be exactly 0
+        # measured max relative error <= 1.7e-16 (conv(ones) measured up to
+        # 6.1e-16 on this grid); with r0 < h/2 the oracle is 0 and rho must
+        # be exactly 0
         ws = Workspace(BUILD_KERNELS[name], self.G)
         oracle = dense_row_sums(ws.w)
         assert np.all(np.abs(ws.rho - oracle) <= 1e-15 * oracle)
@@ -197,7 +193,7 @@ class TestWorkspaceBuild:
 
     @pytest.mark.parametrize("name, convs", [
         ("power", 0), ("truncated_inside", 0),
-        ("truncated_below_half_cell", 0), ("tabulated", 1)])
+        ("truncated_below_half_cell", 0)])
     def test_build_convolutions(self, monkeypatch, name, convs):
         calls = []
         conv = Workspace.conv
@@ -246,40 +242,6 @@ class TestApplyNonlocal:
         L = operator_field(workspace_for(KER, g), p.values, p.left_const,
                            p.right_const)
         assert L[i1] == pytest.approx(oracle, abs=2e-3)
-
-    def test_tabulated_with_analytic_tail_rejected(self, caplog):
-        # a table has no closed-form tail moments: its workspace truncates
-        # the exterior to zero and says so; a power kernel keeps its moments
-        ker = BUILD_KERNELS["tabulated"]
-        g = Grid(R=10.0, n=101)
-        with caplog.at_level("WARNING", logger="nlhet"):
-            ws = Workspace(ker, g)
-        assert not ws.Wl.any() and not ws.Wr.any()
-        assert "exterior tails are truncated to zero" in caplog.text
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="nlhet"):
-            ws = Workspace(KER, g)
-        assert np.all(ws.Wl > 0) and np.all(ws.Wr > 0)
-        assert "truncated" not in caplog.text
-
-    def test_tabulated_kernel_tracks_power_kernel(self):
-        # a dense table of the power density reproduces the power-kernel
-        # operator once the power kernel's tail terms are taken out again
-        g = Grid(R=20.0, n=1601)
-        r = np.geomspace(g.h / 4, 80, 3000)
-        tab = KernelSpec(s=0.5, form="tabulated", table_r=r,
-                         table_K=(1 / math.pi) / r ** 2,
-                         theta0=0.5 / math.pi, Theta0=1.5 / math.pi)
-        p = Profile.from_function(g, layer)
-        i1 = int(round((1 + g.R) / g.h))
-        v_tab = operator_field(workspace_for(tab, g), p.values, p.left_const,
-                               p.right_const)[i1]
-        ws = workspace_for(KER, g)
-        q = p.values[i1]
-        v_pow = (operator_field(ws, p.values, p.left_const, p.right_const)[i1]
-                 - (q - p.left_const) * ws.Wl[i1]
-                 - (q - p.right_const) * ws.Wr[i1])
-        assert v_tab == pytest.approx(v_pow, rel=2e-2)
 
     def test_decay_invariant_toward_edges(self):
         # reference-style ramp (exactly constant outside a compact set):

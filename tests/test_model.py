@@ -48,16 +48,6 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec(s=0.6)
 
-    @pytest.mark.parametrize("field,bad", [("table_r", np.nan), ("table_K", np.nan),
-                                           ("table_K", np.inf)])
-    def test_tabulated_kernel_rejects_non_finite_table(self, field, bad):
-        tables = {"table_r": np.geomspace(0.01, 1.0, 50)}
-        tables["table_K"] = 1.0 / tables["table_r"] ** 2
-        tables[field] = tables[field].copy()
-        tables[field][-1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            KernelSpec(s=0.5, form="tabulated", **tables)
-
     def test_natural_constant_half(self):
         assert natural_halfspace_constant(0.5) == pytest.approx(1 / math.pi, rel=1e-14)
 
@@ -89,14 +79,6 @@ class TestPotential:
         u = np.linspace(0, TWO_PI, 500)
         W, _ = potential_eval_grad(pot, u)
         assert np.all(W >= 0)
-
-    def test_tabulated_outside_table_raises(self):
-        u = np.linspace(-1, 7, 200)
-        Wt = 1 - np.cos(u)
-        pot = PotentialSpec(zeta1=0.0, zeta2=TWO_PI, form="tabulated",
-                            table_u=u, table_W=Wt, c0=0.1, C0_growth=1.0)
-        with pytest.raises(ValueError):
-            potential_eval_grad(pot, 10.0)
 
     def test_quartic_defaults(self):
         pot = PotentialSpec(zeta1=0.0, zeta2=1.0, form="quartic")
@@ -130,23 +112,6 @@ class TestPotentialHess:
         assert np.max(np.abs(Wpp - fd)) <= 1e-6 * np.max(np.abs(fd))
         assert potential_hess(pot, 0.0) > 0 and potential_hess(pot, TWO_PI) > 0
         assert potential_hess(pot, math.pi) < 0
-
-    def test_tabulated_matches_difference_of_gradient(self):
-        # the interpolant is piecewise linear, so W' steps at the knots: W''
-        # is that step over the width 2d of the difference (d = 1e-4 L) at a
-        # knot, and vanishes, up to rounding, inside the cells
-        tu = np.linspace(-1, 7, 200)
-        tW = 1 - np.cos(tu)
-        pot = PotentialSpec(zeta1=0.0, zeta2=TWO_PI, form="tabulated",
-                            table_u=tu, table_W=tW, c0=0.1, C0_growth=1.0)
-        slopes = np.diff(tW) / np.diff(tu)
-        d = 1e-4 * TWO_PI
-        knots = slice(5, -5)
-        expect = (slopes[5:-4] - slopes[4:-5]) / (2 * d)
-        got = potential_hess(pot, tu[knots])
-        assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
-        mid = 0.5 * (tu[1:] + tu[:-1])[knots]
-        assert np.max(np.abs(potential_hess(pot, mid))) <= 1e-6
 
 
 class TestModulation:
@@ -185,16 +150,6 @@ class TestModulation:
         mod = footnote_modulation()
         assert mod.a_lower == pytest.approx(1.5)
         assert mod.a_upper == pytest.approx(2.5)
-
-    def test_tabulated_modulation(self):
-        x = np.linspace(-100, 100, 4001)
-        mod = ModulationSpec(form="tabulated", table_x=x,
-                             table_a=2 + 0.5 * np.cos(0.5 * x))
-        assert mod.a_lower == pytest.approx(1.5, abs=1e-3)
-        assert mod(0.0) == pytest.approx(2.5)
-        spec = ProblemSpec(KernelSpec(s=0.5), cosine_potential(), mod)
-        rep = {c.name: c for c in verify_model(spec, 1000)}
-        assert rep["modulation.positive"].passed
 
 
 class TestReferenceProfile:

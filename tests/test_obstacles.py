@@ -111,17 +111,9 @@ class TestSolveBarrier:
         self._check_against_dense(modulated_spec(), eta, sign)
 
     @pytest.mark.parametrize("eta", [0.0, 1e-2])
-    @pytest.mark.parametrize("kernel", ["power_s0.3", "truncated_s0.3",
-                                        "table_to_r1"])
+    @pytest.mark.parametrize("kernel", ["power_s0.3", "truncated_s0.3"])
     def test_matches_dense_reference_other_kernels(self, kernel, eta):
-        # the table stops at r = 1 and has no exterior tails, so at eta = 0
-        # the Strang symbol vanishes at frequency zero and only its clamp
-        # keeps the preconditioner finite
-        if kernel == "table_to_r1":
-            tr = np.geomspace(0.01, 1.0, 400)
-            ker = KernelSpec(s=0.5, form="tabulated", table_r=tr,
-                             table_K=(1 / math.pi) / tr ** 2)
-        elif kernel == "power_s0.3":
+        if kernel == "power_s0.3":
             ker = KernelSpec(s=0.3)
         else:
             ker = KernelSpec(s=0.3, form="truncated_power")

@@ -9,9 +9,9 @@ from nlhet.discretize import (Grid, Profile, Workspace, operator_field,
 from nlhet.model import KernelSpec, PotentialSpec, ProblemSpec
 from nlhet import obstacles, solver
 from nlhet.obstacles import ObstacleConfig, barrier_pair
-from nlhet.solver import (ContinuationSchedule, NonFiniteEnergyError,
-                          SolverConfig, SolverError, StagnationError, _Core,
-                          _Stage, continuation_run)
+from nlhet.solver import (ContinuationSchedule, NonConvergenceError,
+                          NonFiniteEnergyError, SolverConfig, SolverError,
+                          StagnationError, _Core, _Stage, continuation_run)
 
 from conftest import (homogeneous_spec, layer, modulated_spec, reference_on,
                       run_stage)
@@ -403,6 +403,44 @@ class TestStageRunner:
         assert np.array_equal(seen[0], single.profile.values)
         assert cont.stages[0] == single.record
         assert cont.trace[:len(single.trace)] == single.trace
+
+
+class TestStageRecord:
+    SPEC = homogeneous_spec()
+    GRID = Grid(R=40.0, n=401)
+    CFG = ObstacleConfig(b1=-4.0, b2=4.0, tau=0.25)
+    SCHED = ContinuationSchedule(eta_seq=(1e-1, 1e-2, 0.0),
+                                 mu_seq=(1e-1, 2e-2, 0.0))
+
+    def test_stationarity_is_that_of_the_returned_q(self):
+        # at max_iters = 3 every stage stops on max_iters, the polish below
+        # its grad_tol (measured 5.6e-8 against 4.0e-6); each record reads
+        # the projected-gradient norm of the q the stage hands on
+        snaps = []
+        continuation_run(self.SPEC, self.GRID, self.CFG, self.SCHED,
+                         SolverConfig(max_iters=3),
+                         stage_callback=lambda *snap: snaps.append(snap))
+        assert len(snaps) == 7
+        core = _Core(self.SPEC, self.GRID, reference_on(self.SPEC, self.GRID))
+        for stages, trace, q in snaps:
+            rec = stages[-1]
+            assert rec.iterations == 3
+            pair = (barrier_pair(self.SPEC, self.CFG, self.GRID, rec.eta)
+                    if rec.mu > 0 else None)
+            stage = _Stage(core, rec.eta, rec.mu, pair)
+            _, g = stage.evaluate(q)
+            assert rec.stationarity == float(
+                np.linalg.norm(q - stage.project(q - g)))
+
+    def test_polish_on_max_iters_above_tol_raises(self):
+        # at max_iters = 1 the polish ends at stationarity 1.7e-3 against a
+        # grad_tol of 4.0e-6; it is neither reported nor returned
+        snaps = []
+        with pytest.raises(NonConvergenceError, match="polish"):
+            continuation_run(self.SPEC, self.GRID, self.CFG, self.SCHED,
+                             SolverConfig(max_iters=1),
+                             stage_callback=lambda *snap: snaps.append(snap))
+        assert [len(stages) for stages, _, _ in snaps] == list(range(1, 7))
 
 
 class TestResume:
